@@ -6,15 +6,16 @@ multi-module model with one of the modulated optimizers, and every tau
 iterations (aligned with modulation) records per-module rows of the
 learning-rate-free variance proxy, the current multiplier, the effective
 learning rate, the loss, and the squared gradient norm. The two half-batch
-gradients feeding the proxy are obtained from one backward pass per half,
-which equals the mean of that half's per-sample gradients.
+gradients feeding the proxy come from the same single whole-batch backward
+pass as the step gradient: the pass splits each parameter gradient into the
+odd and even batch rows (``gradients(..., row_groups=2)``), and twice each
+part is the mean of that half's per-sample gradients.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -116,6 +117,8 @@ class ExperimentConfig:
     batch_size: int = 256
     total_iterations: int = 2000
     seed: int = 1
+    # accepted and validated (>= 1) so existing config files and flags keep
+    # working, but a run no longer uses it: every step is one reverse pass
     workers: int = 1
     # modulation (tau=0 picks the default: 10, or 5 above batch 1024)
     agvm_enabled: bool = True
@@ -288,13 +291,6 @@ class RunResult:
     summary: dict
 
 
-def _pool_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _mask_seed(seed: int, t: int) -> int:
     return int(np.random.SeedSequence([seed & 0xFFFFFFFF, t]).generate_state(1)[0])
 
@@ -341,24 +337,20 @@ class _Runner:
         return float(loss.data[0]), grad
 
     def grouped_loss_and_grad(self, idx: np.ndarray, t: int):
-        """Two half-batch backwards; (loss, flat grad, GroupedGradients).
+        """One whole-batch backward split by odd/even rows; (loss, flat grad,
+        GroupedGradients).
 
-        Half k's gradient equals the mean of its per-sample gradients, so
-        the pair is exactly the odd/even split of the batch.
+        Every sample keeps equally many loss elements, so twice the odd
+        (even) rows' share of the gradient is the mean of that half's
+        per-sample gradients: exactly the odd/even split of the batch.
         """
         x, y = self.inputs[idx], self.targets[idx]
         masks, noise = self.model.draw_noise(_mask_seed(self.config.seed, t), len(idx))
-
-        def half(offset):
-            m = None if masks is None else masks[offset::2]
-            nz = None if noise is None else noise[:, :, offset::2, :]
-            loss = self.model.loss_given_noise(x[offset::2], y[offset::2], m, nz)
-            return float(loss.data[0]), np.concatenate(gradients(loss, self.model.params))
-
-        (l1, g1), (l2, g2) = _pool_map(half, (0, 1), self.config.workers)
+        loss = self.model.loss_given_noise(x, y, masks, noise)
+        g1, g2 = 2.0 * np.concatenate(gradients(loss, self.model.params, row_groups=2), axis=1)
         groups = GroupedGradients.from_half_means(g1, g2, self.partition, len(idx))
         grad = (g1 + g2) / 2.0
-        return 0.5 * (l1 + l2), grad, groups
+        return float(loss.data[0]), grad, groups
 
     def trace_rows(self, t: int, loss: float, groups: GroupedGradients,
                    mu: np.ndarray, eta: float) -> list:
@@ -416,7 +408,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     summary["status"] = status
     summary["diverged_at"] = diverged_at
     summary["final_loss"] = final_loss
-    summary["iterations_run"] = cfg.total_iterations if status == "ok" else diverged_at
+    # the step that diverged never completed
+    summary["iterations_run"] = cfg.total_iterations if status == "ok" else diverged_at - 1
     return RunResult(final_loss=final_loss, trace=trace, summary=summary)
 
 

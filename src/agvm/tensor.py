@@ -9,12 +9,20 @@ Graph recording is thread-local: the first recorded operation on a thread
 opens a fresh tape, later operations append to it, and a backward pass
 consumes it. Distinct threads therefore build and consume independent
 tapes, and may share leaf tensors as long as they only read them.
+
+A consumed tape gives up its records, which breaks the tape -> record ->
+output -> tape reference cycle, so a spent graph is freed by reference
+counting rather than by the cyclic garbage collector. Each thread keeps its
+most recently consumed graph alive until its next reverse pass: the next
+forward pass then allocates around those buffers, and freeing them leaves
+them below live memory, where the allocator reuses them instead of
+returning them to the operating system and faulting them back in.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -158,6 +166,35 @@ def _emit(value: np.ndarray, inputs: tuple, pull: Callable) -> Tensor:
     return out
 
 
+class _RowSum:
+    """A pull's gradient for an operand that sums a per-row term over the
+    leading batch axis: ``left.T @ right`` (matmul's right operand) or, with
+    no ``right``, ``left.sum(axis=0)`` (a broadcast bias). The reverse pass
+    reduces it whole, or per row group for a leaf when grouping."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: np.ndarray, right: Optional[np.ndarray] = None):
+        self.left = left
+        self.right = right
+
+    def total(self) -> np.ndarray:
+        if self.right is None:
+            return self.left.sum(axis=0).reshape(-1)
+        return (self.left.T @ self.right).reshape(-1)
+
+    def split(self, k: int) -> np.ndarray:
+        """[k, size]: row g sums the terms of rows g, g+k, g+2k, ..."""
+        rows = self.left.shape[0]
+        if rows % k:
+            raise ShapeError(f"gradients: {rows} batch rows do not split into {k} row groups")
+        left = self.left.reshape(rows // k, k, -1)
+        if self.right is None:
+            return left.sum(axis=0)
+        right = self.right.reshape(rows // k, k, -1)
+        return np.matmul(left.transpose(1, 2, 0), right.transpose(1, 0, 2)).reshape(k, -1)
+
+
 def _binary_layout(name: str, a: Tensor, b: Tensor):
     """Resolve elementwise shapes: equal, or one side broadcast over the
     other's single leading batch dimension. Returns (out_shape, reduce_a,
@@ -183,7 +220,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def pull(g):
         gm = g.reshape(out.shape)
-        return (gm @ bv.T).reshape(-1), (av.T @ gm).reshape(-1)
+        return (gm @ bv.T).reshape(-1), _RowSum(av, gm)
 
     return _emit(out, (a, b), pull)
 
@@ -194,8 +231,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def pull(g):
         gm = g.reshape(out_shape)
-        ga = gm.sum(axis=0).reshape(-1) if red_a else g.copy()
-        gb = gm.sum(axis=0).reshape(-1) if red_b else g.copy()
+        ga = _RowSum(gm) if red_a else g.copy()
+        gb = _RowSum(gm) if red_b else g.copy()
         return ga, gb
 
     return _emit(out, (a, b), pull)
@@ -301,22 +338,41 @@ def masked_select(a: Tensor, mask) -> Tensor:
     return _emit(kept.reshape(kept.shape), (a, mask_input), pull)
 
 
-def _walk(tape: Tape, loss: Tensor) -> dict:
-    """Reverse pass over the tape. Returns {id(tensor): (tensor, flat grad)}."""
+def _walk(records: list, loss: Tensor, row_groups: int = 0) -> dict:
+    """Reverse pass over tape records. Returns {id(tensor): (tensor, grad)}.
+
+    Gradients are flat, except that with ``row_groups`` = k > 0 a leaf's
+    gradient is [k, size], row g summing the contributions of batch rows
+    g, g+k, g+2k, ...
+    """
     grads = {id(loss): (loss, np.ones(1))}
-    for out, inputs, pull in reversed(tape._records):
+    for out, inputs, pull in reversed(records):
         got = grads.get(id(out))
         if got is None:
             continue
         for x, gx in zip(inputs, pull(got[1])):
             if gx is None or not (x.requires_grad or x.tape is not None):
                 continue
+            if row_groups and x.tape is None:
+                if not isinstance(gx, _RowSum):
+                    raise TapeError(
+                        f"gradients: a leaf of shape {x.shape} is reached through a pull "
+                        "that does not sum over the batch axis, so its gradient cannot "
+                        "be split by row group")
+                gx = gx.split(row_groups)
+            elif isinstance(gx, _RowSum):
+                gx = gx.total()
             cur = grads.get(id(x))
             grads[id(x)] = (x, gx if cur is None else cur[1] + gx)
     return grads
 
 
-def _consume(loss: Tensor) -> Tape:
+def _consume(loss: Tensor) -> list:
+    """Mark the loss's tape consumed and take its records out of it.
+
+    The records replace the thread's previously consumed graph, which is
+    freed here, at the start of the next reverse pass (see module docstring).
+    """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     tape = loss.tape
@@ -327,7 +383,9 @@ def _consume(loss: Tensor) -> Tape:
     tape.consumed = True
     if _active_tape() is tape:
         _LOCAL.tape = None
-    return tape
+    records, tape._records = tape._records, []
+    _LOCAL.spent = records
+    return records
 
 
 def backward(loss: Tensor):
@@ -336,24 +394,44 @@ def backward(loss: Tensor):
     Leaf gradients accumulate across calls (use zero_grad between passes
     when fresh gradients are needed). Consumes the tape.
     """
-    tape = _consume(loss)
-    for t, g in _walk(tape, loss).values():
+    for t, g in _walk(_consume(loss), loss).values():
         if t.requires_grad:
             t.grad = g if t.grad is None else t.grad + g
 
 
-def gradients(loss: Tensor, wrt: Sequence[Tensor]) -> list:
+def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = None) -> list:
     """Gradients of ``loss`` w.r.t. ``wrt`` without touching any ``.grad`` field.
 
     Thread-safe against other graphs sharing the same leaves; missing paths
     yield zeros. Consumes the tape like backward.
+
+    With ``row_groups`` = k, each gradient is a [k, size] array from the same
+    single reverse pass: row g is the part of the gradient contributed by
+    batch rows g, g+k, g+2k, ..., and the rows sum to the plain gradient.
+    The split happens where a leaf's pull sums over the batch axis (matmul's
+    right operand, the bias of a broadcast add), so every ``wrt`` tensor
+    must be a leaf reached only through such pulls, with a leading batch
+    dimension divisible by k; otherwise this raises TapeError or ShapeError.
+    When the loss is a mean over b samples that each contribute equally many
+    elements, k = 2 gives half-batch mean gradients as 2 * row g and k = b
+    gives per-sample gradients as b * row g.
     """
-    tape = _consume(loss)
-    grads = _walk(tape, loss)
+    k = 0
+    if row_groups is not None:
+        k = int(row_groups)
+        if k < 1:
+            raise ValueError(f"gradients: row_groups must be >= 1, got {row_groups}")
+        if any(p.tape is not None for p in wrt):
+            raise TapeError("gradients: row_groups splits leaf gradients only; "
+                            "every wrt tensor must be a leaf")
+    grads = _walk(_consume(loss), loss, k)
     out = []
     for p in wrt:
         got = grads.get(id(p))
-        out.append(np.zeros(p.size) if got is None else got[1])
+        if got is not None:
+            out.append(got[1])
+        else:
+            out.append(np.zeros((k, p.size)) if k else np.zeros(p.size))
     return out
 
 

@@ -12,7 +12,6 @@ parameter so modules of different sizes are comparable.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,31 +141,23 @@ def full_variance_estimate(groups: GroupedGradients, n: int, eta: float) -> np.n
 
 
 def per_sample_gradients(model, inputs, targets, mask_seed: int,
-                         workers: int = 1, mask_fraction=None) -> np.ndarray:
-    """[batch, d] per-sample flat gradients via one backward per sample.
+                         mask_fraction=None) -> np.ndarray:
+    """[batch, d] per-sample flat gradients from one whole-batch backward pass.
 
-    Sample j is evaluated on its own single-sample graph using row j of the
-    iteration's masks and feature noise, so the mean over any subset of rows
-    equals the gradient of that subset's mean loss.
+    The pass splits every parameter gradient into one row group per sample
+    (``gradients(..., row_groups=batch)``); row j times the batch size is the
+    gradient of sample j's own loss under row j of the iteration's masks and
+    feature noise. That is exact because every sample contributes equally
+    many loss elements, so the batch loss is the mean of the per-sample
+    losses, and the mean over any subset of rows equals the gradient of that
+    subset's mean loss.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     batch = inputs.shape[0]
     masks, noise = model.draw_noise(mask_seed, batch, mask_fraction)
-    params = model.params
-
-    def one(j):
-        m = None if masks is None else masks[j:j + 1]
-        nz = None if noise is None else noise[:, :, j:j + 1, :]
-        loss = model.loss_given_noise(inputs[j:j + 1], targets[j:j + 1], m, nz)
-        return np.concatenate(gradients(loss, params))
-
-    if workers <= 1:
-        rows = [one(j) for j in range(batch)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(batch)))
-    return np.stack(rows)
+    loss = model.loss_given_noise(inputs, targets, masks, noise)
+    return batch * np.concatenate(gradients(loss, model.params, row_groups=batch), axis=1)
 
 
 def brute_force_variance_oracle(model, dataset, w, b: int, resamples: int, seed: int,

@@ -163,6 +163,7 @@ MISALIGNMENT = dict(levels=4, batch_size=256, total_iterations=2000,
                     decay_factor=0.3, tau=5)
 
 
+@pytest.mark.slow
 def test_06_misalignment_and_modulation_convergence():
     with criterion(6, "head phi below trunk phi and |log mu| shrinking, 16/20 seeds"):
         start = time.time()
@@ -195,6 +196,7 @@ ABLATION_BASE = dict(levels=4, batch_size=256, total_iterations=200,
                      proposal_noise_std=2.0, agvm_enabled=False)
 
 
+@pytest.mark.slow
 def test_07_ablation_directions():
     with criterion(7, "ablation arms reorder the phi gap as expected, 16/20 seeds"):
         start = time.time()

@@ -4,11 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from agvm import harness
 from agvm.harness import (ExperimentConfig, LrSchedule, TraceRow, ablation_suite,
                           config_from_pairs, emit_csv, load_config, lr_at,
                           phi_gap, read_csv, run_experiment, summary_text,
                           variance_trace)
 from agvm.models import ConfigError
+from agvm.optim import AgvmSgd
+from agvm.tensor import gradients
 
 FAST = dict(total_iterations=40, batch_size=16, n_samples=128, trunk_widths=(16,),
             levels=2, input_dim=8, head_width=8, warmup_iters=5, tau=10)
@@ -156,6 +159,22 @@ class TestRunExperiment:
         assert res.summary["status"] == "NaN"
         assert res.summary["diverged_at"] >= 1
 
+    def test_diverged_step_is_not_counted_as_run(self, monkeypatch):
+        completed = []
+        step = AgvmSgd.step
+
+        def counting_step(self, *args, **kwargs):
+            out = step(self, *args, **kwargs)
+            completed.append(1)
+            return out
+
+        monkeypatch.setattr(AgvmSgd, "step", counting_step)
+        cfg = ExperimentConfig(**{**FAST, "base_lr": 1e9, "warmup_iters": 0})
+        res = run_experiment(cfg)
+        assert res.summary["status"] == "NaN"
+        assert res.summary["iterations_run"] == res.summary["diverged_at"] - 1 == len(completed)
+        assert all(row.iter < res.summary["diverged_at"] for row in res.trace)
+
     def test_modulated_run_keeps_mu_in_clip_range(self):
         cfg = ExperimentConfig(**FAST, agvm_enabled=True)
         res = run_experiment(cfg)
@@ -269,3 +288,39 @@ class TestPhiGap:
 
     def test_none_without_usable_rows(self):
         assert phi_gap([TraceRow(0, "trunk", 0.4, 1, 0.1, 1, 1)]) is None
+
+
+def two_half_passes(runner, idx, t):
+    """The odd/even half-batch gradients from one backward pass per half."""
+    x, y = runner.inputs[idx], runner.targets[idx]
+    masks, noise = runner.model.draw_noise(harness._mask_seed(runner.config.seed, t), len(idx))
+    halves = []
+    for offset in (0, 1):
+        m = None if masks is None else masks[offset::2]
+        nz = None if noise is None else noise[:, :, offset::2, :]
+        loss = runner.model.loss_given_noise(x[offset::2], y[offset::2], m, nz)
+        halves.append((float(loss.data[0]), np.concatenate(gradients(loss, runner.model.params))))
+    return halves
+
+
+class TestGroupedPass:
+    @pytest.mark.parametrize("ablation", ["none", "mask:0.75", "proposals:8",
+                                          "independent_heads"])
+    def test_pair_groups_equal_two_half_passes(self, ablation):
+        # bit-exact at the default model sizes, where OpenBLAS rounds each
+        # row of a product alike whatever the row count; at some widths
+        # ([256, 32] @ [32, 8]) it does not, and the halves then differ from
+        # the whole batch in the last bit
+        runner = harness._Runner(ExperimentConfig(batch_size=64, n_samples=256,
+                                                  ablation=ablation))
+        idx = {n: runner.partition.flat_indices()[n] for n in runner.partition.names}
+        for t in (0, 5):
+            batch = runner.draw_batch()
+            loss, grad, groups = runner.grouped_loss_and_grad(batch, t)
+            (l1, g1), (l2, g2) = two_half_passes(runner, batch, t)
+            for name in runner.partition.names:
+                np.testing.assert_array_equal(groups.g1[name], g1[idx[name]])
+                np.testing.assert_array_equal(groups.g2[name], g2[idx[name]])
+            np.testing.assert_array_equal(grad, (g1 + g2) / 2.0)
+            # the loss is the whole-batch mean, the half means' average re-associated
+            assert loss == pytest.approx(0.5 * (l1 + l2), rel=1e-15, abs=0)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,96 @@ class TestBackward:
         mask = np.array([[True, False], [True, True]])
         backward(reduce_sum(masked_select(w, mask)))
         np.testing.assert_array_equal(w.grad.reshape(2, 2), [[1.0, 0.0], [1.0, 1.0]])
+
+
+def _mlp_loss(x, y, w1, b1, w2, b2, keep=None):
+    out = add(matmul(relu(add(matmul(Tensor(x), w1), b1)), w2), b2)
+    if keep is None:
+        return squared_error(out, Tensor(y))
+    return squared_error(masked_select(out, keep), masked_select(Tensor(y), keep))
+
+
+def _mlp_params(rng):
+    return [Tensor(rng.normal(0, 0.5, shape), requires_grad=True)
+            for shape in ((5, 4), (4,), (4, 3), (3,))]
+
+
+class TestRowGroups:
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_groups_are_the_row_subsets_gradients(self, k):
+        # row g of a grouped leaf gradient is the plain gradient of the same
+        # loss with every row outside group g contributing nothing
+        rng = np.random.default_rng(k)
+        params = _mlp_params(rng)
+        x, y = rng.normal(0, 1, (6, 5)), rng.normal(0, 1, (6, 3))
+        keep = rng.random((6, 3)) < 0.7
+        keep[:, 0] = True
+        grouped = gradients(_mlp_loss(x, y, *params, keep), params, row_groups=k)
+        for g in range(k):
+            only = keep.copy()
+            only[np.arange(6) % k != g] = False
+            # same loss normalisation: scale by the kept count of the whole batch
+            sub = gradients(_mlp_loss(x, y, *params, only), params)
+            scale = only.sum() / keep.sum()
+            for got, want in zip(grouped, sub):
+                assert got.shape == (k, want.size)
+                np.testing.assert_allclose(got[g], scale * want, rtol=0, atol=1e-14)
+        plain = gradients(_mlp_loss(x, y, *params, keep), params)
+        for got, want in zip(grouped, plain):
+            np.testing.assert_allclose(got.sum(axis=0), want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("build", [
+        lambda w, x: mean(multiply(x, w)),          # elementwise product
+        lambda w, x: mean(add(x, w)),               # same-shape add
+        lambda w, x: mean(matmul(w, Tensor(np.ones((3, 2))))),   # left matmul operand
+        lambda w, x: mean(relu(w)),
+    ])
+    def test_non_reducing_leaf_pull_raises(self, build):
+        w = Tensor(np.ones((4, 3)), requires_grad=True)
+        x = Tensor(np.arange(12.0).reshape(4, 3))
+        with pytest.raises(TapeError, match="row group"):
+            gradients(build(w, x), [w], row_groups=2)
+
+    def test_rows_must_divide_into_groups(self):
+        rng = np.random.default_rng(0)
+        params = _mlp_params(rng)
+        loss = _mlp_loss(rng.normal(0, 1, (6, 5)), rng.normal(0, 1, (6, 3)), *params)
+        with pytest.raises(ShapeError, match="row groups"):
+            gradients(loss, params, row_groups=4)
+
+    def test_non_leaf_wrt_rejected(self):
+        w = Tensor(np.ones((4, 3)), requires_grad=True)
+        inter = matmul(Tensor(np.ones((2, 4))), w)
+        with pytest.raises(TapeError, match="leaf"):
+            gradients(mean(inter), [inter], row_groups=2)
+
+    def test_bad_group_count_rejected(self):
+        w = Tensor(np.ones((4, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match="row_groups"):
+            gradients(mean(matmul(Tensor(np.ones((2, 4))), w)), [w], row_groups=0)
+
+
+def test_consumed_graphs_are_freed_without_the_cyclic_gc():
+    rng = np.random.default_rng(0)
+    params = _mlp_params(rng)
+    x, y = rng.normal(0, 1, (8, 5)), rng.normal(0, 1, (8, 3))
+
+    def live_tensors():
+        return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        counts = []
+        for step in range(50):
+            gradients(_mlp_loss(x, y, *params), params, row_groups=2 if step % 2 else None)
+            counts.append(live_tensors())
+    finally:
+        if enabled:
+            gc.enable()
+    # only the most recently consumed graph is still alive
+    assert max(counts) == counts[0], counts
 
 
 PRIMITIVE_CASES = [

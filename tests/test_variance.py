@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agvm.models import ModelConfig, ModulePartition, SyntheticModel, \
     TwoBlockLinearModel, make_dataset
-from agvm.tensor import ShapeError
+from agvm.tensor import ShapeError, gradients
 from agvm.variance import (GroupedGradients, GroupingError,
                            brute_force_variance_oracle, cosine_similarity,
                            full_variance_estimate, per_sample_gradients,
@@ -183,10 +185,9 @@ class TestBruteForceOracle:
         model = TwoBlockLinearModel(4, 3, 2, seed=3)
         rng = np.random.default_rng(4)
         x = rng.normal(0, 1, (12, 4))
-        # build targets sample by sample through the same kernels the
-        # per-sample forwards use, so the residual is bitwise zero
-        y = np.vstack([(x[j:j + 1] @ model.params[0].value) @ model.params[1].value
-                       for j in range(12)])
+        # build targets through the same kernels as the batched forward that
+        # yields every per-sample gradient, so the residual is bitwise zero
+        y = (x @ model.params[0].value) @ model.params[1].value
         var = brute_force_variance_oracle(model, (x, y), w=None, b=4, resamples=100, seed=1)
         np.testing.assert_array_equal(var, [0.0, 0.0])
 
@@ -235,16 +236,37 @@ class TestEstimateAgainstOracle:
         assert report["max_rel_err"] < 0.15, report
 
 
+def per_sample_reference(model, inputs, targets, mask_seed):
+    """One backward pass per sample, each on its own single-sample graph
+    with row j of the iteration's masks and feature noise."""
+    masks, noise = model.draw_noise(mask_seed, len(inputs))
+    rows = []
+    for j in range(len(inputs)):
+        m = None if masks is None else masks[j:j + 1]
+        nz = None if noise is None else noise[:, :, j:j + 1, :]
+        loss = model.loss_given_noise(inputs[j:j + 1], targets[j:j + 1], m, nz)
+        rows.append(np.concatenate(gradients(loss, model.params)))
+    return np.stack(rows)
+
+
 class TestPerSampleGradients:
-    def test_worker_pool_is_deterministic(self):
-        model = SyntheticModel(ModelConfig(mask_fraction=0.5, proposals=2), seed=0)
-        x, y = make_dataset(12, 32, 4, 0.1, 1)
-        serial = per_sample_gradients(model, x, y, mask_seed=3, workers=1)
-        pooled = per_sample_gradients(model, x, y, mask_seed=3, workers=4)
-        assert np.array_equal(serial, pooled)
+    @settings(max_examples=30, deadline=None)
+    @given(batch=st.integers(1, 10),
+           mask_fraction=st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]),
+           proposals=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 16))
+    def test_rows_match_one_backward_per_sample(self, batch, mask_fraction, proposals, seed):
+        model = SyntheticModel(ModelConfig(mask_fraction=mask_fraction, proposals=proposals,
+                                           proposal_noise_std=0.25 if proposals > 1 else 0.0),
+                               seed=seed)
+        x, y = make_dataset(max(2, batch), 32, 4, 0.1, seed + 1)
+        x, y = x[:batch], y[:batch]
+        ps = per_sample_gradients(model, x, y, mask_seed=seed + 2)
+        assert ps.shape == (batch, model.partition.total_size)
+        np.testing.assert_allclose(ps, per_sample_reference(model, x, y, seed + 2),
+                                   rtol=0, atol=1e-13)
 
     def test_rows_match_whole_batch_gradient(self):
-        from agvm.tensor import gradients
         model = SyntheticModel(ModelConfig(mask_fraction=0.25), seed=2)
         x, y = make_dataset(8, 32, 4, 0.1, 3)
         ps = per_sample_gradients(model, x, y, mask_seed=11)
