@@ -587,7 +587,8 @@ def oracle_check(seed: int = 0, n: Optional[int] = None, b: Optional[int] = None
     estimates /= p["resamples"]
 
     oracle = brute_force_variance_oracle(model, (inputs, targets), w=None, b=p["b"],
-                                         resamples=p["resamples"], seed=seed + 4)
+                                         resamples=p["resamples"], seed=seed + 4,
+                                         per_sample=per_sample)
     rel = np.abs(estimates - oracle) / oracle
     out = {}
     for i, name in enumerate(names):

@@ -17,6 +17,7 @@ features.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -115,12 +116,22 @@ class ModulePartition:
         return int(sum(self.param_sizes))
 
     def flat_indices(self) -> dict:
-        """Index array into the packed flat vector for each module."""
+        """Read-only index array into the packed flat vector for each module.
+
+        Built on the first call; every later call returns the same dict,
+        which callers must not modify.
+        """
+        return self._flat_indices
+
+    @cached_property
+    def _flat_indices(self) -> dict:
         offsets = np.concatenate([[0], np.cumsum(self.param_sizes)]).astype(np.intp)
         out = {}
         for name, ids in self.modules:
             parts = [np.arange(offsets[i], offsets[i + 1], dtype=np.intp) for i in ids]
-            out[name] = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+            idx = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+            idx.flags.writeable = False
+            out[name] = idx
         return out
 
 
@@ -212,6 +223,8 @@ class SyntheticModel:
         p = c.mask_fraction if mask_fraction is None else mask_fraction
         if not 0.0 <= p < 1.0:
             raise ConfigError(f"mask_fraction must lie in [0, 1), got {p}")
+        if p == 0.0 and c.proposal_noise_std == 0.0:
+            return None, None
         rng = np.random.default_rng(np.random.SeedSequence([int(mask_seed) & 0xFFFFFFFF]))
         masks = None
         if p > 0.0:

@@ -105,6 +105,10 @@ class _ModulatedOptimizer:
         if self.modulator.n_modules != partition.h:
             raise ValueError("modulator size does not match partition")
         self._indices = partition.flat_indices()
+        # module number of every coordinate of the packed vector
+        self._module_of = np.empty(partition.total_size, dtype=np.intp)
+        for i, name in enumerate(partition.names):
+            self._module_of[self._indices[name]] = i
         self.t = 0
 
     def _check_finite(self, grad: np.ndarray):
@@ -116,10 +120,7 @@ class _ModulatedOptimizer:
                     f"non-finite gradient in module '{name}' at step {self.t}")
 
     def _mu_per_coord(self) -> np.ndarray:
-        vec = np.empty(self.partition.total_size)
-        for i, name in enumerate(self.partition.names):
-            vec[self._indices[name]] = self.modulator.mu[i]
-        return vec
+        return self.modulator.mu[self._module_of]
 
     def _modulation_due(self) -> bool:
         return (not self.modulator.pinned) and self.t % self.modulator.tau == 0

@@ -17,6 +17,24 @@ most recently consumed graph alive until its next reverse pass: the next
 forward pass then allocates around those buffers, and freeing them leaves
 them below live memory, where the allocator reuses them instead of
 returning them to the operating system and faulting them back in.
+
+Each record stores, next to its output, inputs and pull, a mask of which
+inputs were tracked (required gradients or belonged to the tape) when the
+operation ran; the operation checks input provenance in the same pass.
+The reverse pass hands that mask to the pull, and a pull computes
+gradients only for tracked inputs and returns None for constant ones: a
+constant left matmul operand (the data batch), a loss target or a loss
+weight costs no kernel. An equal-shape add passes its incoming gradient
+through uncopied, so one array can reach several tensors; the reverse pass
+adds contributions out of place, and ``gradients``/``backward`` copy an
+array they have already handed out, so no two returned gradients share
+memory.
+
+relu is ``np.fmax(x, 0.0)`` followed by an in-place ``+= 0.0``, which gives
+the same bits as ``np.where(x > 0, x, 0.0)`` at lower cost: fmax maps NaN
+to 0 and keeps infinities and subnormals, but may return -0.0 for a -0.0
+(or 0.0) input, and adding +0.0 turns -0.0 into +0.0 and leaves every other
+value unchanged.
 """
 
 from __future__ import annotations
@@ -38,9 +56,9 @@ class TapeError(RuntimeError):
 class Tape:
     """Ordered record of primitive applications for one forward pass.
 
-    Records are appended in execution order, so walking them in reverse
-    visits the graph in reverse topological order. A tape is consumed by
-    exactly one backward pass; reuse raises TapeError.
+    Records (out, inputs, pull, tracked) are appended in execution order, so
+    walking them in reverse visits the graph in reverse topological order.
+    A tape is consumed by exactly one backward pass; reuse raises TapeError.
     """
 
     __slots__ = ("_records", "consumed")
@@ -49,38 +67,23 @@ class Tape:
         self._records: list[tuple] = []
         self.consumed = False
 
-    def record(self, out, inputs, pull):
-        self._records.append((out, inputs, pull))
-
     def __len__(self):
         return len(self._records)
 
 
-_LOCAL = threading.local()
+class _Local(threading.local):
+    tape = None             # the tape new records go to
+    spent = None            # the records of the last consumed tape
+    no_grad = False
+    relu_kink = False
 
 
-def _active_tape():
-    return getattr(_LOCAL, "tape", None)
-
-
-def _open_tape(inputs):
-    """Return the tape new records go to, validating input provenance."""
-    tape = _active_tape()
-    if tape is None or tape.consumed:
-        tape = Tape()
-        _LOCAL.tape = tape
-    for x in inputs:
-        if x.tape is not None and x.tape is not tape:
-            raise TapeError(
-                "input tensor belongs to a different or already-consumed tape; "
-                "rebuild the graph from leaf tensors"
-            )
-    return tape
+_LOCAL = _Local()
 
 
 def relu_kink_seen() -> bool:
     """True if any relu on this thread saw an exactly-zero input since the last reset."""
-    return getattr(_LOCAL, "relu_kink", False)
+    return _LOCAL.relu_kink
 
 
 def reset_relu_kink():
@@ -91,7 +94,7 @@ class no_grad:
     """Context manager that disables tape recording on this thread."""
 
     def __enter__(self):
-        self._prev = getattr(_LOCAL, "no_grad", False)
+        self._prev = _LOCAL.no_grad
         _LOCAL.no_grad = True
         return self
 
@@ -151,18 +154,36 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _tracked(*tensors: Tensor) -> bool:
-    return any(t.requires_grad or t.tape is not None for t in tensors)
-
-
 def _emit(value: np.ndarray, inputs: tuple, pull: Callable) -> Tensor:
-    """Wrap an op result, recording it when any input participates in a graph."""
-    out = Tensor._wrap(np.ascontiguousarray(value).reshape(-1), tuple(value.shape))
-    if not getattr(_LOCAL, "no_grad", False) and _tracked(*inputs):
-        tape = _open_tape(inputs)
+    """Wrap an op result, recording it when any input participates in a graph.
+
+    One pass over the inputs decides which are tracked and checks that every
+    input on a tape is on the active one. The record keeps that mask, and
+    the reverse pass calls ``pull(g, tracked)``.
+    """
+    out = Tensor._wrap(value.reshape(-1), value.shape)
+    if _LOCAL.no_grad:
+        return out
+    tape = _LOCAL.tape
+    if tape is not None and tape.consumed:
+        tape = None
+    tracked = []
+    for x in inputs:
+        if x.tape is None:
+            tracked.append(x.requires_grad)
+        elif x.tape is tape:
+            tracked.append(True)
+        else:
+            raise TapeError(
+                "input tensor belongs to a different or already-consumed tape; "
+                "rebuild the graph from leaf tensors"
+            )
+    if True in tracked:
+        if tape is None:
+            tape = _LOCAL.tape = Tape()
         out.requires_grad = True
         out.tape = tape
-        tape.record(out, inputs, pull)
+        tape._records.append((out, inputs, pull, tracked))
     return out
 
 
@@ -218,9 +239,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.value, b.value
     out = av @ bv
 
-    def pull(g):
+    def pull(g, tracked):
         gm = g.reshape(out.shape)
-        return (gm @ bv.T).reshape(-1), _RowSum(av, gm)
+        return ((gm @ bv.T).reshape(-1) if tracked[0] else None,
+                _RowSum(av, gm) if tracked[1] else None)
 
     return _emit(out, (a, b), pull)
 
@@ -229,10 +251,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_shape, red_a, red_b = _binary_layout("add", a, b)
     out = a.value + b.value
 
-    def pull(g):
-        gm = g.reshape(out_shape)
-        ga = _RowSum(gm) if red_a else g.copy()
-        gb = _RowSum(gm) if red_b else g.copy()
+    def pull(g, tracked):
+        # an equal-shape side gets ``g`` itself (see the module docstring)
+        ga = gb = None
+        if tracked[0]:
+            ga = _RowSum(g.reshape(out_shape)) if red_a else g
+        if tracked[1]:
+            gb = _RowSum(g.reshape(out_shape)) if red_b else g
         return ga, gb
 
     return _emit(out, (a, b), pull)
@@ -243,30 +268,35 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.value, b.value
     out = av * bv
 
-    def pull(g):
+    def pull(g, tracked):
         gm = g.reshape(out_shape)
-        ga = gm * bv
-        gb = gm * av
-        if red_a:
-            ga = ga.sum(axis=0)
-        if red_b:
-            gb = gb.sum(axis=0)
-        return ga.reshape(-1), gb.reshape(-1)
+        ga = gb = None
+        if tracked[0]:
+            ga = gm * bv
+            ga = (ga.sum(axis=0) if red_a else ga).reshape(-1)
+        if tracked[1]:
+            gb = gm * av
+            gb = (gb.sum(axis=0) if red_b else gb).reshape(-1)
+        return ga, gb
 
     return _emit(out, (a, b), pull)
 
 
 def relu(a: Tensor) -> Tensor:
-    """max(0, x); the derivative at exactly 0 is defined as 0."""
-    if np.any(a.data == 0.0):
+    """max(0, x); the derivative at exactly 0 is defined as 0.
+
+    NaN maps to 0 and -0.0 to +0.0, as in ``np.where(x > 0, x, 0.0)``.
+    """
+    x = a.data
+    if (x == 0.0).any():
         _LOCAL.relu_kink = True
-    keep = a.data > 0.0
-    out = np.where(keep, a.data, 0.0).reshape(a.shape)
+    out = np.fmax(x, 0.0)
+    out += 0.0      # fmax may keep -0.0; where gives +0.0
 
-    def pull(g):
-        return (g * keep,)
+    def pull(g, tracked):
+        return (g * (out > 0.0),)
 
-    return _emit(out, (a,), pull)
+    return _emit(out.reshape(a.shape), (a,), pull)
 
 
 def mean(a: Tensor) -> Tensor:
@@ -274,7 +304,7 @@ def mean(a: Tensor) -> Tensor:
     n = a.size
     out = np.asarray(a.data.mean())
 
-    def pull(g):
+    def pull(g, tracked):
         return (np.full(n, g[0] / n),)
 
     return _emit(out, (a,), pull)
@@ -285,7 +315,7 @@ def reduce_sum(a: Tensor) -> Tensor:
     n = a.size
     out = np.asarray(a.data.sum())
 
-    def pull(g):
+    def pull(g, tracked):
         return (np.full(n, g[0]),)
 
     return _emit(out, (a,), pull)
@@ -299,10 +329,10 @@ def squared_error(pred: Tensor, target: Tensor) -> Tensor:
     n = pred.size
     out = np.asarray(np.dot(diff, diff) / n)
 
-    def pull(g):
+    def pull(g, tracked):
         scale = 2.0 * g[0] / n
         gp = scale * diff
-        return gp, -gp
+        return (gp if tracked[0] else None), (-gp if tracked[1] else None)
 
     return _emit(out, (pred, target), pull)
 
@@ -329,13 +359,12 @@ def masked_select(a: Tensor, mask) -> Tensor:
         raise ShapeError("masked_select: mask keeps no elements")
     n = a.size
 
-    def pull(g):
+    def pull(g, tracked):
         ga = np.zeros(n)
         ga[mask_flat] = g
-        return (ga, None)
+        return (ga,)
 
-    mask_input = mask if isinstance(mask, Tensor) else Tensor(mask_flat.astype(np.float64))
-    return _emit(kept.reshape(kept.shape), (a, mask_input), pull)
+    return _emit(kept, (a,), pull)
 
 
 def _walk(records: list, loss: Tensor, row_groups: int = 0) -> dict:
@@ -343,28 +372,37 @@ def _walk(records: list, loss: Tensor, row_groups: int = 0) -> dict:
 
     Gradients are flat, except that with ``row_groups`` = k > 0 a leaf's
     gradient is [k, size], row g summing the contributions of batch rows
-    g, g+k, g+2k, ...
+    g, g+k, g+2k, ... One array may be the gradient of several tensors
+    (an add passes its gradient through); callers copy before handing out.
     """
     grads = {id(loss): (loss, np.ones(1))}
-    for out, inputs, pull in reversed(records):
+    for out, inputs, pull, tracked in reversed(records):
         got = grads.get(id(out))
         if got is None:
             continue
-        for x, gx in zip(inputs, pull(got[1])):
-            if gx is None or not (x.requires_grad or x.tape is not None):
+        for x, gx in zip(inputs, pull(got[1], tracked)):
+            if gx is None:
                 continue
             if row_groups and x.tape is None:
-                if not isinstance(gx, _RowSum):
+                if type(gx) is not _RowSum:
                     raise TapeError(
                         f"gradients: a leaf of shape {x.shape} is reached through a pull "
                         "that does not sum over the batch axis, so its gradient cannot "
                         "be split by row group")
                 gx = gx.split(row_groups)
-            elif isinstance(gx, _RowSum):
+            elif type(gx) is _RowSum:
                 gx = gx.total()
             cur = grads.get(id(x))
             grads[id(x)] = (x, gx if cur is None else cur[1] + gx)
     return grads
+
+
+def _unshared(grad: np.ndarray, handed: set) -> np.ndarray:
+    """``grad``, or a copy if that array was already handed out."""
+    if id(grad) in handed:
+        return grad.copy()
+    handed.add(id(grad))
+    return grad
 
 
 def _consume(loss: Tensor) -> list:
@@ -381,7 +419,7 @@ def _consume(loss: Tensor) -> list:
     if tape.consumed:
         raise TapeError("backward: tape already consumed by a previous backward pass")
     tape.consumed = True
-    if _active_tape() is tape:
+    if _LOCAL.tape is tape:
         _LOCAL.tape = None
     records, tape._records = tape._records, []
     _LOCAL.spent = records
@@ -394,9 +432,10 @@ def backward(loss: Tensor):
     Leaf gradients accumulate across calls (use zero_grad between passes
     when fresh gradients are needed). Consumes the tape.
     """
+    handed = set()
     for t, g in _walk(_consume(loss), loss).values():
         if t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
+            t.grad = _unshared(g, handed) if t.grad is None else t.grad + g
 
 
 def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = None) -> list:
@@ -425,11 +464,12 @@ def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = N
             raise TapeError("gradients: row_groups splits leaf gradients only; "
                             "every wrt tensor must be a leaf")
     grads = _walk(_consume(loss), loss, k)
+    handed = set()
     out = []
     for p in wrt:
         got = grads.get(id(p))
         if got is not None:
-            out.append(got[1])
+            out.append(_unshared(got[1], handed))
         else:
             out.append(np.zeros((k, p.size)) if k else np.zeros(p.size))
     return out

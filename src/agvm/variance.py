@@ -161,13 +161,18 @@ def per_sample_gradients(model, inputs, targets, mask_seed: int,
 
 
 def brute_force_variance_oracle(model, dataset, w, b: int, resamples: int, seed: int,
-                                replace: bool = True, mask_seed: int = 0) -> np.ndarray:
+                                replace: bool = True, mask_seed: int = 0,
+                                per_sample=None) -> np.ndarray:
     """Per-module, per-parameter gradient sampling variance by enumeration.
 
     Computes the exact full-dataset gradient, then averages
     |g_batch - grad_full|^2 / d_module over ``resamples`` mini-batches of
     size b (drawn with replacement by default). Independent of the cosine
     estimator by construction.
+
+    ``per_sample`` may pass in the [n, d] result of
+    ``per_sample_gradients(model, *dataset, mask_seed)`` at the model's
+    current parameters (so ``w`` must be None), to save recomputing it.
     """
     inputs, targets = dataset
     n = np.asarray(inputs).shape[0]
@@ -175,11 +180,17 @@ def brute_force_variance_oracle(model, dataset, w, b: int, resamples: int, seed:
         raise ValueError(f"batch size b={b} exceeds dataset size n={n}")
     if resamples < 100:
         raise ValueError(f"resamples must be >= 100, got {resamples}")
-    if w is not None:
-        from .tensor import load_params
-        load_params(model.params, np.asarray(w, dtype=np.float64))
-
-    per_sample = per_sample_gradients(model, inputs, targets, mask_seed)
+    if per_sample is None:
+        if w is not None:
+            from .tensor import load_params
+            load_params(model.params, np.asarray(w, dtype=np.float64))
+        per_sample = per_sample_gradients(model, inputs, targets, mask_seed)
+    elif w is not None:
+        raise ValueError("pass either w or per_sample, not both: per_sample holds "
+                         "the gradients at the model's current parameters")
+    elif np.shape(per_sample) != (n, model.partition.total_size):
+        raise ValueError(f"per_sample has shape {np.shape(per_sample)}, expected "
+                         f"{(n, model.partition.total_size)}")
     grad_full = per_sample.mean(axis=0)
 
     idx = model.partition.flat_indices()

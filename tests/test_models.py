@@ -76,6 +76,15 @@ class TestPartition:
             ModulePartition(modules=(("a", (0,)), ("b", (1,))), param_sizes=(2, 3),
                             anchor_index=5)
 
+    def test_flat_indices_built_once_and_read_only(self):
+        partition = ModulePartition(modules=(("a", (0, 2)), ("b", (1,))), param_sizes=(2, 3, 1))
+        idx = partition.flat_indices()
+        assert partition.flat_indices() is idx
+        np.testing.assert_array_equal(idx["a"], [0, 1, 5])
+        np.testing.assert_array_equal(idx["b"], [2, 3, 4])
+        with pytest.raises(ValueError, match="read-only"):
+            idx["a"][0] = 3
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kw,needle", [
@@ -170,6 +179,18 @@ class TestForwardLoss:
         _, n2 = model.draw_noise(7, 4)
         assert n1.shape == (4, 3, 4, 16)
         assert np.array_equal(n1, n2)
+
+    def test_nothing_to_draw_builds_no_generator(self, monkeypatch):
+        import agvm.models
+
+        def no_rng(*args):
+            raise AssertionError("a generator was built with nothing to draw")
+
+        model = SyntheticModel(ModelConfig(), seed=0)
+        monkeypatch.setattr(agvm.models.np.random, "default_rng", no_rng)
+        assert model.draw_noise(5, 8) == (None, None)
+        with pytest.raises(ConfigError, match="mask_fraction"):
+            model.draw_noise(5, 8, mask_fraction=1.0)
 
     def test_noise_off_by_default(self):
         model = SyntheticModel(ModelConfig(proposals=3), seed=0)

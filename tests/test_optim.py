@@ -144,6 +144,17 @@ class TestSgdStep:
         assert w[0] == pytest.approx(0.8, abs=1e-15)   # anchor: eta_hat = 0.1
         assert w[1] == pytest.approx(0.6, abs=1e-15)   # head: eta_hat = 0.2
 
+    def test_multiplier_follows_interleaved_module_coordinates(self):
+        # trunk owns parameters 0 and 2, so its coordinates straddle the head's
+        part = ModulePartition(modules=(("trunk", (0, 2)), ("head", (1,))),
+                               param_sizes=(2, 1, 3))
+        mod = Modulator(2, tau=10)
+        mod.mu = np.array([1.0, 3.0])
+        opt = AgvmSgd(part, beta1=0.0, weight_decay=0.0, modulator=mod)
+        w = np.zeros(6)
+        opt.step(w, np.ones(6), eta=0.5)
+        np.testing.assert_array_equal(w, [-0.5, -0.5, -1.5, -0.5, -0.5, -0.5])
+
     def test_momentum_first_step(self):
         part = two_module_partition((1, 1))
         opt = AgvmSgd(part, beta1=0.9, weight_decay=0.0, modulator=Modulator(2, tau=10))

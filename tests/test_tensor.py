@@ -1,12 +1,18 @@
 import gc
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from agvm.tensor import (ShapeError, TapeError, Tensor, add, backward,
                          grad_check, gradients, load_params, masked_select,
                          matmul, mean, multiply, no_grad, pack_params,
-                         reduce_sum, relu, squared_error, zero_grads)
+                         reduce_sum, relu, relu_kink_seen, reset_relu_kink,
+                         squared_error, zero_grads)
 
 
 def fd_gradient(f, x, step=1e-6):
@@ -369,3 +375,173 @@ class TestParamPacking:
         assert a.grad is not None
         zero_grads([a])
         assert a.grad is None
+
+
+# ---- relu kernel: the same bits as np.where(x > 0, x, 0.0) ----
+
+SPECIAL = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
+                    5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308])
+
+
+def _check_relu_bits(x):
+    reset_relu_kink()
+    out = relu(Tensor(x)).value
+    want = np.where(x > 0, x, 0.0)
+    assert out.shape == want.shape
+    np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+    assert relu_kink_seen() == bool(np.any(x == 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 64),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+def test_relu_bits_match_where(x):
+    _check_relu_bits(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 7, 64, 8192]), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 1.0))
+def test_relu_bits_match_where_with_special_values(size, seed, share):
+    # random normals with NaN, +-0, +-inf and subnormals mixed in
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, size)
+    pick = rng.random(size) < share
+    x[pick] = rng.choice(SPECIAL, int(pick.sum()))
+    _check_relu_bits(x)
+
+
+def test_relu_negative_zero_scalar_path():
+    _check_relu_bits(np.array([-0.0]))
+    _check_relu_bits(np.array([-0.0, np.nan, -np.inf]))
+
+
+# ---- pulls skip constant operands ----
+
+# (name, op, shape of the first operand, shape of the second)
+BINARY_CASES = [
+    ("matmul", matmul, (4, 3), (3, 2)),
+    ("add", add, (4, 3), (4, 3)),
+    ("add_broadcast_right", add, (4, 3), (3,)),
+    ("add_broadcast_left", add, (3,), (4, 3)),
+    ("multiply", multiply, (4, 3), (4, 3)),
+    ("multiply_broadcast", multiply, (4, 3), (3,)),
+    ("squared_error", squared_error, (4, 3), (4, 3)),
+]
+
+
+def _scalar_loss(out, rng):
+    """A scalar of ``out`` whose gradient is not the same in every element."""
+    if out.shape == ():
+        return out
+    return reduce_sum(multiply(out, Tensor(rng.normal(0, 1, out.shape))))
+
+
+@pytest.mark.parametrize("name,op,a_shape,b_shape", BINARY_CASES)
+@pytest.mark.parametrize("constant", [0, 1])
+def test_pull_returns_none_for_constant_operand(name, op, a_shape, b_shape, constant):
+    rng = np.random.default_rng(0)
+    operands = [Tensor(rng.normal(0, 1, shape), requires_grad=(i != constant))
+                for i, shape in enumerate((a_shape, b_shape))]
+    out = op(*operands)
+    _, inputs, pull, tracked = out.tape._records[-1]
+    assert inputs == tuple(operands)
+    assert list(tracked) == [i != constant for i in range(2)]
+    grads = pull(rng.normal(0, 1, out.size), tracked)
+    assert grads[constant] is None
+    assert grads[1 - constant] is not None
+
+
+@pytest.mark.parametrize("name,op,a_shape,b_shape", BINARY_CASES)
+@pytest.mark.parametrize("constant", [0, 1])
+def test_tracked_gradient_bits_do_not_depend_on_other_operand(name, op, a_shape, b_shape,
+                                                              constant):
+    rng = np.random.default_rng(1)
+    values = [rng.normal(0, 1, shape) for shape in (a_shape, b_shape)]
+    weight_seed = 2
+
+    def tracked_grad(other_tracked):
+        operands = [Tensor(v, requires_grad=(i != constant or other_tracked))
+                    for i, v in enumerate(values)]
+        loss = _scalar_loss(op(*operands), np.random.default_rng(weight_seed))
+        return gradients(loss, [operands[1 - constant]])[0]
+
+    with_constant, with_tracked = tracked_grad(False), tracked_grad(True)
+    np.testing.assert_array_equal(with_constant.view(np.int64), with_tracked.view(np.int64))
+
+
+@pytest.mark.parametrize("as_tensor", [False, True])
+def test_masked_select_records_no_mask_operand(as_tensor):
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    keep = np.array([[True, False, True], [False, True, True]])
+    out = masked_select(a, Tensor(keep.astype(np.float64)) if as_tensor else keep)
+    _, inputs, pull, tracked = out.tape._records[-1]
+    assert inputs == (a,)
+    (ga,) = pull(np.arange(1.0, 5.0), tracked)
+    np.testing.assert_array_equal(ga.reshape(2, 3), [[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]])
+
+
+def test_masked_select_gradient_bits_do_not_depend_on_mask_form():
+    rng = np.random.default_rng(3)
+    x = rng.normal(0, 1, (5, 4))
+    keep = rng.random((5, 4)) < 0.6
+    keep[0, 0] = True
+
+    def grad(mask):
+        a = Tensor(x, requires_grad=True)
+        return gradients(_scalar_loss(masked_select(a, mask), np.random.default_rng(4)), [a])[0]
+
+    np.testing.assert_array_equal(grad(keep).view(np.int64),
+                                  grad(Tensor(keep.astype(np.float64))).view(np.int64))
+
+
+# ---- handed-out gradients never share memory ----
+
+def _assert_no_shared_memory(arrays):
+    for (i, x), (j, y) in itertools.combinations(enumerate(arrays), 2):
+        assert not np.shares_memory(x, y), (i, j)
+
+
+ALIASING_GRAPHS = [
+    # equal-shape add of two leaves: both sides pass the same gradient through
+    ("add_leaves", lambda a, b, c: reduce_sum(multiply(add(a, b), c))),
+    ("add_leaves_is_loss", lambda a, b, c: reduce_sum(add(a, b))),
+    ("add_chain", lambda a, b, c: mean(add(add(a, b), c))),
+    ("add_same_leaf_twice", lambda a, b, c: reduce_sum(multiply(add(a, a), add(b, c)))),
+    ("mixed", lambda a, b, c: squared_error(relu(add(multiply(a, b), c)), Tensor(np.ones((3, 2))))),
+]
+
+
+@pytest.mark.parametrize("name,build", ALIASING_GRAPHS)
+def test_gradients_never_share_memory(name, build):
+    rng = np.random.default_rng(5)
+    leaves = [Tensor(rng.normal(0, 1, (3, 2)), requires_grad=True) for _ in range(3)]
+    _assert_no_shared_memory(gradients(build(*leaves), leaves))
+    # the same leaf requested twice gets two arrays
+    _assert_no_shared_memory(gradients(build(*leaves), leaves + leaves))
+    # a non-leaf requested next to the leaves it passes its gradient to
+    a, b, c = leaves
+    inter = add(a, b)
+    loss = reduce_sum(multiply(inter, c))
+    _assert_no_shared_memory(gradients(loss, [inter, a, b, c]))
+
+
+@pytest.mark.parametrize("name,build", ALIASING_GRAPHS)
+def test_backward_grads_never_share_memory(name, build):
+    rng = np.random.default_rng(6)
+    leaves = [Tensor(rng.normal(0, 1, (3, 2)), requires_grad=True) for _ in range(3)]
+    loss = build(*leaves)
+    tensors = [out for out, *_ in loss.tape._records] + leaves     # loss is the last out
+    backward(loss)
+    grads = [t.grad for t in tensors if t.grad is not None]
+    assert len(grads) >= 4
+    _assert_no_shared_memory(grads)
+
+
+def test_shared_add_gradient_values_are_right():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    ga, gb = gradients(reduce_sum(multiply(add(a, b), Tensor([5.0, 7.0]))), [a, b])
+    np.testing.assert_array_equal(ga, [5.0, 7.0])
+    np.testing.assert_array_equal(gb, [5.0, 7.0])

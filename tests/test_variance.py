@@ -235,6 +235,39 @@ class TestEstimateAgainstOracle:
         report = oracle_check(seed=0)
         assert report["max_rel_err"] < 0.15, report
 
+    def test_per_sample_gradients_computed_once_per_check(self, monkeypatch):
+        from agvm import harness, variance
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return per_sample_gradients(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "per_sample_gradients", counted)
+        monkeypatch.setattr(variance, "per_sample_gradients", counted)
+        one_pass = harness.oracle_check(seed=3, n=64, b=16, resamples=200)
+        assert len(calls) == 1
+
+        # the oracle recomputing the per-sample gradients itself gives the same report
+        def recomputing(*args, per_sample, **kwargs):
+            return brute_force_variance_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "brute_force_variance_oracle", recomputing)
+        two_pass = harness.oracle_check(seed=3, n=64, b=16, resamples=200)
+        assert len(calls) == 3
+        assert two_pass == one_pass
+
+    def test_oracle_rejects_per_sample_with_w_or_wrong_shape(self):
+        model = TwoBlockLinearModel(4, 3, 2, seed=1)
+        data = make_dataset(16, 4, 2, 0.2, seed=2)
+        per_sample = per_sample_gradients(model, data[0], data[1], mask_seed=0)
+        with pytest.raises(ValueError, match="not both"):
+            brute_force_variance_oracle(model, data, w=np.zeros(per_sample.shape[1]), b=4,
+                                        resamples=100, seed=0, per_sample=per_sample)
+        with pytest.raises(ValueError, match="shape"):
+            brute_force_variance_oracle(model, data, w=None, b=4, resamples=100, seed=0,
+                                        per_sample=per_sample[:8])
+
 
 def per_sample_reference(model, inputs, targets, mask_seed):
     """One backward pass per sample, each on its own single-sample graph
