@@ -328,11 +328,16 @@ class _Runner:
         return self.batch_rng.choice(self.config.n_samples, size=self.config.batch_size,
                                      replace=False)
 
+    def forward(self, idx: np.ndarray, t: int):
+        """The loss of the rows ``idx`` at step t. The step's mask seed is
+        derived only when the model draws randomness with it."""
+        seed = _mask_seed(self.config.seed, t) if self.model.draws_noise() else None
+        masks, noise = self.model.draw_noise(seed, len(idx))
+        return self.model.loss_given_noise(self.inputs[idx], self.targets[idx], masks, noise)
+
     def batch_loss_and_grad(self, idx: np.ndarray, t: int):
         """One forward/backward over the whole mini-batch; (loss, flat grad)."""
-        x, y = self.inputs[idx], self.targets[idx]
-        masks, noise = self.model.draw_noise(_mask_seed(self.config.seed, t), len(idx))
-        loss = self.model.loss_given_noise(x, y, masks, noise)
+        loss = self.forward(idx, t)
         grad = np.concatenate(gradients(loss, self.model.params))
         return float(loss.data[0]), grad
 
@@ -344,9 +349,7 @@ class _Runner:
         (even) rows' share of the gradient is the mean of that half's
         per-sample gradients: exactly the odd/even split of the batch.
         """
-        x, y = self.inputs[idx], self.targets[idx]
-        masks, noise = self.model.draw_noise(_mask_seed(self.config.seed, t), len(idx))
-        loss = self.model.loss_given_noise(x, y, masks, noise)
+        loss = self.forward(idx, t)
         g1, g2 = 2.0 * np.concatenate(gradients(loss, self.model.params, row_groups=2), axis=1)
         groups = GroupedGradients.from_half_means(g1, g2, self.partition, len(idx))
         grad = (g1 + g2) / 2.0
@@ -495,16 +498,24 @@ def ablation_suite(base_config: ExperimentConfig, train: bool = False) -> dict:
     arms train at different speeds, and over a trained trajectory that speed
     difference swamps the architectural effect the phi-gap is meant to
     expose. Pass train=True to train each arm instead.
+
+    Arms differ only in their model config, so arms that resolve to equal
+    ones (proposals_1 on a jittered base is the shared arm) are run once;
+    each arm still gets its own summary dict.
     """
     if base_config.head_mode != "shared" or not base_config.pyramid:
         raise ConfigError("ablation_suite needs a shared-head pyramid base config")
     if base_config.ablation != "none":
         raise ConfigError("ablation_suite applies its own arms; set ablation=none")
     runner = run_experiment if train else variance_trace
+    runs = {}
     results = {}
     for arm in ABLATION_ARMS:
         cfg = replace(base_config, ablation=_ARM_TO_ABLATION[arm])
-        results[arm] = runner(cfg).summary
+        key = cfg.model_config()
+        if key not in runs:
+            runs[key] = runner(cfg).summary
+        results[arm] = dict(runs[key])
     return results
 
 

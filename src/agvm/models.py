@@ -11,7 +11,10 @@ per optimization step, which is the mechanism these models exist to expose.
 Optional per-step randomness: a fraction of output elements can be masked
 out of the loss (at least one survives per sample), and each branch can be
 evaluated ``proposals`` times on independently noised copies of its
-features.
+features. A level's K proposals are one head evaluation on a ``[K*b, d]``
+stack: row ``k*b + j`` is proposal k of sample j, built by repeating the
+branch features over K row blocks and adding the noise, with the targets
+(and each level's mask columns) laid out the same way.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import (Tensor, add, masked_select, matmul, multiply, relu,
-                     squared_error)
+from .tensor import (Tensor, add, masked_select, matmul, multiply, new_graph,
+                     relu, squared_error)
 
 
 class ConfigError(ValueError):
@@ -214,6 +217,12 @@ class SyntheticModel:
         c = self.config
         return c.levels * c.proposals * c.output_dim
 
+    def draws_noise(self, mask_fraction: Optional[float] = None) -> bool:
+        """Whether draw_noise draws anything (a keep-mask or feature jitter),
+        so whether its mask_seed is used at all."""
+        p = self.config.mask_fraction if mask_fraction is None else mask_fraction
+        return p > 0.0 or self.config.proposal_noise_std > 0.0
+
     def draw_noise(self, mask_seed: int, batch: int, mask_fraction: Optional[float] = None):
         """Per-iteration randomness: boolean keep-masks [batch, E] (or None when
         nothing is masked) and head-input noise [levels, K, batch, head_in]
@@ -223,7 +232,7 @@ class SyntheticModel:
         p = c.mask_fraction if mask_fraction is None else mask_fraction
         if not 0.0 <= p < 1.0:
             raise ConfigError(f"mask_fraction must lie in [0, 1), got {p}")
-        if p == 0.0 and c.proposal_noise_std == 0.0:
+        if not self.draws_noise(p):
             return None, None
         rng = np.random.default_rng(np.random.SeedSequence([int(mask_seed) & 0xFFFFFFFF]))
         masks = None
@@ -257,13 +266,20 @@ class SyntheticModel:
         return add(matmul(hidden, w2), b2)
 
     def loss_given_noise(self, inputs, targets, masks, noise) -> Tensor:
-        """Scalar loss from explicit per-iteration randomness (see draw_noise)."""
+        """Scalar loss from explicit per-iteration randomness (see draw_noise).
+
+        Each level evaluates the head once on its K proposals stacked as
+        ``[K*b, d]`` (row ``k*b + j`` is proposal k of sample j) and adds
+        the level's mean squared error weighted by its kept element count.
+        """
+        new_graph()
         c = self.config
         x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
         t = targets if isinstance(targets, Tensor) else Tensor(targets)
         if x.ndim != 2 or t.ndim != 2 or x.shape[0] != t.shape[0]:
             raise ConfigError(f"inputs {x.shape} and targets {t.shape} must be 2-D with equal batch")
-        batch = x.shape[0]
+        batch, k, o = x.shape[0], c.proposals, c.output_dim
+        stacked_t = t if k == 1 else Tensor(np.tile(t.value, (k, 1)))
 
         h = x
         for w, b in self._trunk:
@@ -272,19 +288,20 @@ class SyntheticModel:
         terms = []          # (scalar mean of squared errors, element count)
         for lvl in range(c.levels):
             feat = self._branch_features(h, lvl)
-            for k in range(c.proposals):
-                fin = feat if noise is None else add(feat, Tensor(noise[lvl, k]))
-                out = self._head_output(fin, lvl)
-                if masks is None:
-                    terms.append((squared_error(out, t), batch * c.output_dim))
-                else:
-                    col = (lvl * c.proposals + k) * c.output_dim
-                    block = masks[:, col:col + c.output_dim]
-                    kept = int(block.sum())
-                    if kept == 0:
-                        continue
-                    terms.append((squared_error(masked_select(out, block),
-                                                masked_select(t, block)), kept))
+            if noise is not None:
+                feat = add(feat, Tensor(noise[lvl].reshape(k * batch, -1)))
+            elif k > 1:
+                feat = add(feat, Tensor(np.zeros((k * batch, feat.shape[1]))))
+            out = self._head_output(feat, lvl)
+            if masks is None:
+                terms.append((squared_error(out, stacked_t), k * batch * o))
+                continue
+            block = (masks[:, lvl * k * o:(lvl + 1) * k * o]
+                     .reshape(batch, k, o).transpose(1, 0, 2).reshape(k * batch, o))
+            kept = int(block.sum())
+            if kept:
+                terms.append((squared_error(masked_select(out, block),
+                                            masked_select(stacked_t, block)), kept))
         total = sum(n for _, n in terms)
         if total == 0:
             raise ConfigError("all output elements are masked; nothing contributes to the loss")
@@ -341,6 +358,7 @@ class TwoBlockLinearModel:
         return None, None
 
     def loss_given_noise(self, inputs, targets, masks, noise) -> Tensor:
+        new_graph()
         x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
         t = targets if isinstance(targets, Tensor) else Tensor(targets)
         return squared_error(matmul(matmul(x, self.params[0]), self.params[1]), t)

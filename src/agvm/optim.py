@@ -273,6 +273,14 @@ def load_checkpoint(path: str):
         anchor_index=doc["partition"]["anchor_index"],
     )
     md = doc["modulator"]
+    fields = {"m": doc["m"], "mu": md["mu"]}
+    if doc["kind"] == "adamw":
+        fields["v"] = doc["v"]
+    for name, values in fields.items():
+        want = part.h if name == "mu" else part.total_size
+        if len(values) != want:
+            raise OptimizerError(f"checkpoint field {name!r} has {len(values)} entries; "
+                                 f"the partition needs {want}")
     mod = Modulator(part.h, anchor=md["anchor"], tau=md["tau"],
                     alpha=float.fromhex(md["alpha"]),
                     clip_lo=float.fromhex(md["clip_lo"]),

@@ -2,13 +2,19 @@
 
 The operation set is the smallest one that supports the synthetic model
 suite: matmul, add, multiply, relu, mean, reduce_sum, squared_error and
-masked_select. Elementwise binaries broadcast only over a single leading
-batch dimension (``[b, d] op [d]``); anything richer raises ShapeError.
+masked_select. Elementwise binaries take equal shapes, broadcast one side
+over a single leading batch dimension (``[b, d] op [d]``), or repeat a 2-D
+``[r, d]`` side over the K >= 2 row blocks of a ``[K*r, d]`` side (output
+row ``k*r + j`` uses row j of the repeated side, whose gradient is the sum
+of the K blocks). Anything richer raises ShapeError.
 
 Graph recording is thread-local: the first recorded operation on a thread
 opens a fresh tape, later operations append to it, and a backward pass
-consumes it. Distinct threads therefore build and consume independent
-tapes, and may share leaf tensors as long as they only read them.
+consumes it. A forward pass starts with ``new_graph()``, which drops a tape
+whose loss never reached a reverse pass, so an abandoned graph is neither
+kept alive nor walked by the next one. Distinct threads therefore build
+and consume independent tapes, and may share leaf tensors as long as they
+only read them.
 
 A consumed tape gives up its records, which breaks the tape -> record ->
 output -> tape reference cycle, so a spent graph is freed by reference
@@ -216,18 +222,43 @@ class _RowSum:
         return np.matmul(left.transpose(1, 2, 0), right.transpose(1, 0, 2)).reshape(k, -1)
 
 
+# How an elementwise operand relates to the output (see _binary_layout).
+_SAME, _ROWS, _BLOCKS = 0, 1, 2
+
+
 def _binary_layout(name: str, a: Tensor, b: Tensor):
-    """Resolve elementwise shapes: equal, or one side broadcast over the
-    other's single leading batch dimension. Returns (out_shape, reduce_a,
-    reduce_b) where reduce_* means that side's gradient sums over axis 0."""
-    if a.shape == b.shape:
-        return a.shape, False, False
-    if len(a.shape) == len(b.shape) + 1 and a.shape[1:] == b.shape:
-        return a.shape, False, True
-    if len(b.shape) == len(a.shape) + 1 and b.shape[1:] == a.shape:
-        return b.shape, True, False
-    raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not conform "
-                     "(equal, or broadcast over one leading batch dimension)")
+    """Resolve elementwise shapes. Returns (out_shape, view, fold_a, fold_b).
+
+    Each side either has the output's shape (_SAME), is broadcast over its
+    single leading batch dimension (_ROWS: ``[b, d] op [d]``), or is a 2-D
+    ``[r, d]`` side repeated over the K >= 2 row blocks of a ``[K*r, d]``
+    side (_BLOCKS). ``view`` is the shape at which the full-size side and
+    the incoming gradient meet the other side under numpy broadcasting:
+    ``[K, r, d]`` for row blocks, the output shape otherwise. A folded
+    side's gradient sums the view over its leading axis.
+    """
+    sa, sb = a.shape, b.shape
+    if sa == sb:
+        return sa, sa, _SAME, _SAME
+    if len(sa) == len(sb) + 1 and sa[1:] == sb:
+        return sa, sa, _SAME, _ROWS
+    if len(sb) == len(sa) + 1 and sb[1:] == sa:
+        return sb, sb, _ROWS, _SAME
+    if len(sa) == len(sb) == 2 and sa[1] == sb[1]:
+        rows, big = sorted((sa[0], sb[0]))
+        if rows > 0 and big % rows == 0:
+            view = (big // rows, rows, sa[1])
+            if sa[0] == big:
+                return sa, view, _SAME, _BLOCKS
+            return sb, view, _BLOCKS, _SAME
+    raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not conform (equal, "
+                     "broadcast over one leading batch dimension, or [r, d] repeated "
+                     "over the row blocks of [K*r, d])")
+
+
+def _operand(x: Tensor, view: tuple, fold: int) -> np.ndarray:
+    """``x``'s value shaped to broadcast against the layout's ``view``."""
+    return x.data.reshape(view) if fold == _SAME else x.value
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -247,36 +278,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), pull)
 
 
+def _add_fold(g: np.ndarray, view: tuple, fold: int):
+    """add's gradient for one side: ``g`` itself for an equal-shape side
+    (see the module docstring), a _RowSum for a bias, the sum of the row
+    blocks for a repeated side."""
+    if fold == _SAME:
+        return g
+    if fold == _ROWS:
+        return _RowSum(g.reshape(view))
+    return g.reshape(view).sum(axis=0).reshape(-1)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_shape, red_a, red_b = _binary_layout("add", a, b)
-    out = a.value + b.value
+    out_shape, view, fold_a, fold_b = _binary_layout("add", a, b)
+    out = (_operand(a, view, fold_a) + _operand(b, view, fold_b)).reshape(out_shape)
 
     def pull(g, tracked):
-        # an equal-shape side gets ``g`` itself (see the module docstring)
-        ga = gb = None
-        if tracked[0]:
-            ga = _RowSum(g.reshape(out_shape)) if red_a else g
-        if tracked[1]:
-            gb = _RowSum(g.reshape(out_shape)) if red_b else g
-        return ga, gb
+        return (_add_fold(g, view, fold_a) if tracked[0] else None,
+                _add_fold(g, view, fold_b) if tracked[1] else None)
 
     return _emit(out, (a, b), pull)
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
-    out_shape, red_a, red_b = _binary_layout("multiply", a, b)
-    av, bv = a.value, b.value
-    out = av * bv
+    out_shape, view, fold_a, fold_b = _binary_layout("multiply", a, b)
+    av, bv = _operand(a, view, fold_a), _operand(b, view, fold_b)
+    out = (av * bv).reshape(out_shape)
 
     def pull(g, tracked):
-        gm = g.reshape(out_shape)
+        gm = g.reshape(view)
         ga = gb = None
         if tracked[0]:
             ga = gm * bv
-            ga = (ga.sum(axis=0) if red_a else ga).reshape(-1)
+            ga = (ga if fold_a == _SAME else ga.sum(axis=0)).reshape(-1)
         if tracked[1]:
             gb = gm * av
-            gb = (gb.sum(axis=0) if red_b else gb).reshape(-1)
+            gb = (gb if fold_b == _SAME else gb.sum(axis=0)).reshape(-1)
         return ga, gb
 
     return _emit(out, (a, b), pull)
@@ -417,13 +454,31 @@ def _consume(loss: Tensor) -> list:
     if tape is None:
         raise TapeError("backward: loss is not attached to a tape (no tracked inputs)")
     if tape.consumed:
-        raise TapeError("backward: tape already consumed by a previous backward pass")
+        raise TapeError("backward: tape already consumed by a previous backward pass "
+                        "or dropped by new_graph")
     tape.consumed = True
     if _LOCAL.tape is tape:
         _LOCAL.tape = None
     records, tape._records = tape._records, []
     _LOCAL.spent = records
     return records
+
+
+def new_graph():
+    """Start the thread's next forward pass on a fresh tape.
+
+    A graph whose loss never reached a reverse pass is dropped: its tape
+    gives up its records, so the abandoned graph is freed by reference
+    counting, and is marked consumed, so a reverse pass from that loss
+    raises TapeError. Under no_grad nothing is recorded and the active tape
+    is left alone.
+    """
+    tape = _LOCAL.tape
+    if tape is None or _LOCAL.no_grad:
+        return
+    tape.consumed = True
+    tape._records = []
+    _LOCAL.tape = None
 
 
 def backward(loss: Tensor):

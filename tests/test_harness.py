@@ -268,6 +268,24 @@ class TestAblationSuite:
         assert results["shared"]["phi_gap"] == run_experiment(base).summary["phi_gap"]
 
 
+    @pytest.mark.parametrize("std,runs", [(2.0, 5), (0.0, 6)])
+    def test_equal_arms_run_once(self, monkeypatch, std, runs):
+        # on a jittered base proposals_1 resolves to the shared arm's model
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg.ablation)
+            return variance_trace(cfg)
+
+        monkeypatch.setattr(harness, "variance_trace", counted)
+        results = ablation_suite(ExperimentConfig(**FAST, proposal_noise_std=std))
+        assert len(calls) == runs
+        assert len(results) == 6
+        assert len({id(summary) for summary in results.values()}) == 6
+        if runs == 5:
+            assert results["proposals_1"] == results["shared"]
+
+
 class TestSummaryText:
     def test_flat_key_value_block(self):
         text = summary_text({"b": 1.5, "a": "ok", "c": 2})
@@ -301,6 +319,39 @@ def two_half_passes(runner, idx, t):
         loss = runner.model.loss_given_noise(x[offset::2], y[offset::2], m, nz)
         halves.append((float(loss.data[0]), np.concatenate(gradients(loss, runner.model.params))))
     return halves
+
+
+class TestMaskSeed:
+    def test_not_derived_when_nothing_is_drawn(self, monkeypatch):
+        calls = []
+
+        def counted(seed, t):
+            calls.append(t)
+            return 0
+
+        monkeypatch.setattr(harness, "_mask_seed", counted)
+        run_experiment(ExperimentConfig(**FAST))
+        assert calls == []
+
+    @pytest.mark.parametrize("ablation", ["mask:0.5", "proposals:3"])
+    def test_drawn_randomness_is_unchanged(self, monkeypatch, ablation):
+        calls = []
+        real = harness._mask_seed
+
+        def counted(seed, t):
+            calls.append(t)
+            return real(seed, t)
+
+        monkeypatch.setattr(harness, "_mask_seed", counted)
+        runner = harness._Runner(ExperimentConfig(**FAST, ablation=ablation))
+        for t in (0, 3):
+            idx = runner.draw_batch()
+            got = runner.forward(idx, t).data[0]
+            drawn = runner.model.draw_noise(real(runner.config.seed, t), len(idx))
+            want = runner.model.loss_given_noise(runner.inputs[idx], runner.targets[idx],
+                                                 *drawn).data[0]
+            assert got == want
+        assert calls == [0, 3]
 
 
 class TestGroupedPass:

@@ -1,10 +1,14 @@
+import gc
+
 import numpy as np
 import pytest
 
+import agvm.models
 from agvm.models import (ConfigError, ModelConfig, ModulePartition,
                          SyntheticModel, TwoBlockLinearModel, build_model,
                          forward_loss, make_dataset)
-from agvm.tensor import pack_params
+from agvm.tensor import (Tensor, add, gradients, masked_select, matmul, multiply,
+                         pack_params, relu, squared_error)
 from agvm.variance import per_sample_gradients, phi_estimate, split_groups
 
 
@@ -196,6 +200,104 @@ class TestForwardLoss:
         model = SyntheticModel(ModelConfig(proposals=3), seed=0)
         masks, noise = model.draw_noise(7, 4)
         assert masks is None and noise is None
+
+
+def per_proposal_loss(model, inputs, targets, masks, noise):
+    """Reference: one [b, d] head evaluation and one squared error per
+    (level, proposal), weighted by that evaluation's kept element count."""
+    c = model.config
+    h, t = Tensor(inputs), Tensor(targets)
+    for w, b in model._trunk:
+        h = relu(add(matmul(h, w), b))
+    terms = []
+    for lvl in range(c.levels):
+        feat = model._branch_features(h, lvl)
+        for k in range(c.proposals):
+            fin = feat if noise is None else add(feat, Tensor(noise[lvl, k]))
+            out = model._head_output(fin, lvl)
+            if masks is None:
+                terms.append((squared_error(out, t), out.size))
+                continue
+            col = (lvl * c.proposals + k) * c.output_dim
+            block = masks[:, col:col + c.output_dim]
+            if block.any():
+                terms.append((squared_error(masked_select(out, block), masked_select(t, block)),
+                              int(block.sum())))
+    total = sum(n for _, n in terms)
+    loss = multiply(terms[0][0], Tensor(terms[0][1] / total))
+    for se, n in terms[1:]:
+        loss = add(loss, multiply(se, Tensor(n / total)))
+    return loss
+
+
+class TestStackedProposals:
+    @pytest.mark.parametrize("proposals", [1, 2, 8])
+    @pytest.mark.parametrize("mask_fraction", [0.0, 0.6])
+    @pytest.mark.parametrize("std", [0.0, 0.5])
+    @pytest.mark.parametrize("head_mode", ["shared", "independent"])
+    def test_equals_one_head_pass_per_proposal(self, proposals, mask_fraction, std, head_mode):
+        model = SyntheticModel(ModelConfig(proposals=proposals, mask_fraction=mask_fraction,
+                                           proposal_noise_std=std, head_mode=head_mode),
+                               seed=proposals)
+        x, y = make_dataset(6, 32, 4, 0.1, 4)
+        masks, noise = model.draw_noise(9, 6)
+        want = per_proposal_loss(model, x, y, masks, noise)
+        want_value = want.data[0]
+        want_grads = gradients(want, model.params)
+        got = model.loss_given_noise(x, y, masks, noise)
+        assert got.data[0] == pytest.approx(want_value, rel=1e-14, abs=0)
+        for g, w in zip(gradients(got, model.params), want_grads):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-14 * max(1.0, np.abs(w).max()))
+
+    def test_default_model_records_52_ops_and_4_squared_errors(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return squared_error(*args)
+
+        monkeypatch.setattr(agvm.models, "squared_error", counted)
+        model = SyntheticModel(ModelConfig(), seed=0)
+        x, y = make_dataset(8, 32, 4, 0.1, 1)
+        loss = model.loss(x, y, mask_seed=0)
+        assert len(loss.tape) == 52
+        assert len(calls) == 4
+
+    def test_stacking_adds_one_op_per_level(self):
+        # K = 8 stacks each level's proposals: 52 ops plus one noise add per level
+        model = SyntheticModel(ModelConfig(proposals=8, proposal_noise_std=0.25), seed=0)
+        x, y = make_dataset(8, 32, 4, 0.1, 1)
+        assert len(model.loss(x, y, mask_seed=0).tape) == 56
+
+
+class TestAbandonedForward:
+    def test_next_forward_records_one_graph(self):
+        model = SyntheticModel(ModelConfig(), seed=0)
+        x, y = make_dataset(8, 32, 4, 0.1, 1)
+        for seed in range(3):
+            loss = model.loss(x, y, mask_seed=seed)
+            assert len(loss.tape) == 52
+        gradients(loss, model.params)
+
+    def test_abandoned_graphs_are_freed_without_the_cyclic_gc(self):
+        model = SyntheticModel(ModelConfig(mask_fraction=0.5), seed=0)
+        x, y = make_dataset(8, 32, 4, 0.1, 1)
+
+        def live_tensors():
+            return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            counts = []
+            for seed in range(20):
+                model.loss(x, y, mask_seed=seed)
+                counts.append(live_tensors())
+        finally:
+            if enabled:
+                gc.enable()
+        assert max(counts) == counts[0], counts
 
 
 class TestDataset:

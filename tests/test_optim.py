@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -345,4 +347,21 @@ class TestCheckpoint:
         path = tmp_path / "future.json"
         path.write_text('{"format": "agvm-checkpoint", "version": 99}')
         with pytest.raises(OptimizerError, match="version"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("kind,field,keep", [
+        ("sgd", "m", 6), ("sgd", "mu", 1), ("adamw", "v", 6), ("adamw", "m", 0),
+        ("adamw", "mu", 3)])
+    def test_rejects_fields_that_do_not_match_the_partition(self, tmp_path, kind, field, keep):
+        part = two_module_partition((4, 3))
+        mod = Modulator(2, tau=3)
+        opt = (AgvmSgd(part, modulator=mod) if kind == "sgd"
+               else AgvmAdamW(part, modulator=mod))
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(opt, str(path))
+        doc = json.loads(path.read_text())
+        holder = doc["modulator"] if field == "mu" else doc
+        holder[field] = (holder[field] + holder[field])[:keep]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(OptimizerError, match=f"'{field}'"):
             load_checkpoint(str(path))

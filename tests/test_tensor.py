@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from agvm.tensor import (ShapeError, TapeError, Tensor, add, backward,
                          grad_check, gradients, load_params, masked_select,
-                         matmul, mean, multiply, no_grad, pack_params,
+                         matmul, mean, multiply, new_graph, no_grad, pack_params,
                          reduce_sum, relu, relu_kink_seen, reset_relu_kink,
                          squared_error, zero_grads)
 
@@ -279,6 +279,88 @@ def test_consumed_graphs_are_freed_without_the_cyclic_gc():
             gc.enable()
     # only the most recently consumed graph is still alive
     assert max(counts) == counts[0], counts
+
+
+class TestNewGraph:
+    def test_abandoned_graph_is_not_recorded_into_the_next(self):
+        rng = np.random.default_rng(0)
+        params = _mlp_params(rng)
+        x, y = rng.normal(0, 1, (6, 5)), rng.normal(0, 1, (6, 3))
+        ops = len(_mlp_loss(x, y, *params).tape)
+        for _ in range(3):
+            new_graph()
+            loss = _mlp_loss(x, y, *params)
+        assert len(loss.tape) == ops
+        gradients(loss, params)
+
+    def test_abandoned_loss_cannot_be_walked(self):
+        rng = np.random.default_rng(1)
+        params = _mlp_params(rng)
+        x, y = rng.normal(0, 1, (6, 5)), rng.normal(0, 1, (6, 3))
+        abandoned = _mlp_loss(x, y, *params)
+        new_graph()
+        with pytest.raises(TapeError, match="new_graph"):
+            gradients(abandoned, params)
+
+    def test_no_grad_keeps_the_active_tape(self):
+        rng = np.random.default_rng(2)
+        params = _mlp_params(rng)
+        x, y = rng.normal(0, 1, (6, 5)), rng.normal(0, 1, (6, 3))
+        want = gradients(_mlp_loss(x, y, *params), params)
+        loss = _mlp_loss(x, y, *params)
+        with no_grad():
+            new_graph()
+            _mlp_loss(x, y, *params)
+        for got, ref in zip(gradients(loss, params), want):
+            np.testing.assert_array_equal(got, ref)
+
+
+def _tiled_reference(op, small, big, weight):
+    """Values and both gradients of sum(weight * op(tile(small), big)) in numpy."""
+    k = big.shape[0] // small.shape[0]
+    rows = small.shape[0]
+    tiled = np.tile(small, (k, 1))
+    if op == "add":
+        return tiled + big, sum(weight[i * rows:(i + 1) * rows] for i in range(k)), weight
+    g_tiled = weight * big
+    return (tiled * big, sum(g_tiled[i * rows:(i + 1) * rows] for i in range(k)),
+            weight * tiled)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("op", ["add", "multiply"])
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    @pytest.mark.parametrize("small_first", [True, False])
+    def test_matches_tiled_reference_bit_for_bit(self, op, k, small_first):
+        rng = np.random.default_rng(k)
+        small = Tensor(rng.normal(0, 1, (5, 3)), requires_grad=True)
+        big = Tensor(rng.normal(0, 1, (5 * k, 3)), requires_grad=True)
+        weight = rng.normal(0, 1, (5 * k, 3))
+        prim = add if op == "add" else multiply
+        out = prim(small, big) if small_first else prim(big, small)
+        value, g_small, g_big = _tiled_reference(op, small.value, big.value, weight)
+        assert out.shape == (5 * k, 3)
+        assert np.array_equal(out.value.view(np.int64), value.view(np.int64))
+        got_small, got_big = gradients(reduce_sum(multiply(out, Tensor(weight))), [small, big])
+        assert np.array_equal(got_small.reshape(5, 3).view(np.int64), g_small.view(np.int64))
+        assert np.array_equal(got_big.reshape(5 * k, 3).view(np.int64), g_big.view(np.int64))
+
+    @pytest.mark.parametrize("prim", [add, multiply])
+    @pytest.mark.parametrize("shapes", [((3, 2), (7, 2)), ((4, 2), (6, 2)),
+                                        ((3, 2), (6, 3)), ((0, 2), (4, 2))])
+    def test_rows_that_are_not_a_multiple_are_rejected(self, prim, shapes):
+        a, b = (Tensor(np.ones(s)) for s in shapes)
+        with pytest.raises(ShapeError, match=prim.__name__):
+            prim(a, b)
+        with pytest.raises(ShapeError, match=prim.__name__):
+            prim(b, a)
+
+    @pytest.mark.parametrize("prim", [add, multiply])
+    def test_repeated_leaf_cannot_be_split_by_row_group(self, prim):
+        w = Tensor(np.ones((2, 3)), requires_grad=True)
+        x = Tensor(np.arange(12.0).reshape(4, 3))
+        with pytest.raises(TapeError, match="row group"):
+            gradients(mean(prim(x, w)), [w], row_groups=2)
 
 
 PRIMITIVE_CASES = [

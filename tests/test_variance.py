@@ -286,7 +286,7 @@ class TestPerSampleGradients:
     @settings(max_examples=30, deadline=None)
     @given(batch=st.integers(1, 10),
            mask_fraction=st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]),
-           proposals=st.integers(1, 3),
+           proposals=st.integers(1, 8),
            seed=st.integers(0, 2 ** 16))
     def test_rows_match_one_backward_per_sample(self, batch, mask_fraction, proposals, seed):
         model = SyntheticModel(ModelConfig(mask_fraction=mask_fraction, proposals=proposals,
