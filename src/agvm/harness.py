@@ -132,35 +132,65 @@ class ExperimentConfig:
     ablation: str = "none"
 
     def validate(self):
+        """Raise ConfigError naming every violated constraint, so that no
+        field value can fail later with another exception type."""
         bad = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                bad.append(f"{f.name} must be finite, got {value}")
         if self.batch_size < 2 or self.batch_size % 2 != 0:
             bad.append(f"batch_size must be even and >= 2, got {self.batch_size}")
         if self.batch_size > self.n_samples:
             bad.append(f"batch_size {self.batch_size} exceeds n_samples {self.n_samples}")
+        if self.noise_std < 0:
+            bad.append(f"noise_std must be >= 0, got {self.noise_std}")
+        if self.seed < 0 or self.dataset_seed < 0:
+            bad.append(f"seed and dataset_seed must be >= 0, got {self.seed} and "
+                       f"{self.dataset_seed}")
         if self.total_iterations < 0:
             bad.append(f"total_iterations must be >= 0, got {self.total_iterations}")
+        if self.warmup_iters < 0:
+            bad.append(f"warmup_iters must be >= 0, got {self.warmup_iters}")
         if self.warmup_iters >= max(1, self.total_iterations) and self.warmup_iters > 0:
             bad.append(f"warmup_iters {self.warmup_iters} must be < total_iterations "
                        f"{self.total_iterations}")
+        if self.base_lr < 0:
+            bad.append(f"base_lr must be >= 0, got {self.base_lr}")
+        if self.base_batch < 1:
+            bad.append(f"base_batch must be >= 1, got {self.base_batch}")
+        if self.lr_scaling not in ("linear", "linear-then-sqrt"):
+            bad.append(f"lr_scaling must be 'linear' or 'linear-then-sqrt', got {self.lr_scaling!r}")
+        if self.lr_decay not in ("multistep", "poly"):
+            bad.append(f"lr_decay must be 'multistep' or 'poly', got {self.lr_decay!r}")
+        if self.decay_factor < 0:
+            bad.append(f"decay_factor must be >= 0, got {self.decay_factor}")
         if self.optimizer not in ("sgd", "adamw"):
             bad.append(f"optimizer must be 'sgd' or 'adamw', got {self.optimizer!r}")
-        if self.ablation not in ABLATIONS and not self._parse_ablation_ok():
-            bad.append(f"unknown ablation {self.ablation!r}; expected one of {ABLATIONS} "
-                       "or mask:<fraction> / proposals:<count>")
+        for name in ("alpha", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                bad.append(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        for name in ("eps_ratio", "eps_adam"):
+            if not getattr(self, name) > 0:
+                bad.append(f"{name} must be > 0, got {getattr(self, name)}")
+        if not 0.0 < self.clip_lo <= 1.0 <= self.clip_hi:
+            bad.append(f"clip range [{self.clip_lo}, {self.clip_hi}] must satisfy "
+                       "0 < clip_lo <= 1 <= clip_hi")
         if self.tau < 0:
             bad.append(f"tau must be >= 0 (0 = default), got {self.tau}")
         if self.workers < 1:
             bad.append(f"workers must be >= 1, got {self.workers}")
+        try:
+            model = self.model_config()
+        except ConfigError as exc:
+            model = None
+            bad.append(str(exc))
+        if model is not None and not 0 <= self.anchor < model.module_count:
+            bad.append(f"anchor {self.anchor} out of range for the model's "
+                       f"{model.module_count} modules")
         if bad:
             raise ConfigError("invalid experiment config: " + "; ".join(bad))
-        self.model_config().validate()
-
-    def _parse_ablation_ok(self) -> bool:
-        try:
-            self._ablation_fields()
-            return True
-        except ConfigError:
-            return False
+        model.validate()
 
     def _ablation_fields(self) -> dict:
         """Model-field overrides implied by the ablation arm."""
@@ -174,15 +204,16 @@ class ExperimentConfig:
         if a == "mask":
             return {"mask_fraction": 0.75}
         if a.startswith("mask:"):
-            return {"mask_fraction": float(a.split(":", 1)[1])}
+            return {"mask_fraction": _arm_value(a, float)}
         if a == "proposals":
             a = "proposals:8"
         if a.startswith("proposals:"):
             # replica evaluations only matter through the feature jitter they
             # average, so the proposal arms always run with it enabled
             std = self.proposal_noise_std if self.proposal_noise_std > 0 else 0.25
-            return {"proposals": int(a.split(":", 1)[1]), "proposal_noise_std": std}
-        raise ConfigError(f"unknown ablation {a!r}")
+            return {"proposals": _arm_value(a, int), "proposal_noise_std": std}
+        raise ConfigError(f"unknown ablation {a!r}; expected one of {ABLATIONS} "
+                          "or mask:<fraction> / proposals:<count>")
 
     def model_config(self) -> ModelConfig:
         base = dict(
@@ -213,6 +244,19 @@ class ExperimentConfig:
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
+_KIND_WORDS = {int: "an integer", float: "a number",
+               tuple: "comma-separated integers"}
+
+
+def _arm_value(arm: str, kind):
+    """The number after the colon of a mask:<fraction> / proposals:<count> arm."""
+    try:
+        return kind(arm.split(":", 1)[1])
+    except ValueError:
+        raise ConfigError(f"unknown ablation {arm!r}: expected {_KIND_WORDS[kind]} "
+                          "after the colon") from None
+
+
 def _coerce(name: str, kind, raw: str):
     raw = raw.strip()
     if kind is bool:
@@ -220,14 +264,15 @@ def _coerce(name: str, kind, raw: str):
         if word not in _BOOL_WORDS:
             raise ConfigError(f"key {name}: expected a boolean, got {raw!r}")
         return _BOOL_WORDS[word]
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    if kind is tuple:
-        if not raw:
-            return ()
-        return tuple(int(part) for part in raw.split(","))
+    try:
+        if kind is int:
+            return int(raw)
+        if kind is float:
+            return float(raw)
+        if kind is tuple:
+            return tuple(int(part) for part in raw.split(",")) if raw else ()
+    except ValueError:
+        raise ConfigError(f"key {name}: expected {_KIND_WORDS[kind]}, got {raw!r}") from None
     return raw
 
 
@@ -254,15 +299,19 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None,
     """Config resolution order: defaults < file < AGVM_SEED env < CLI overrides."""
     pairs = {}
     if path is not None:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value, got {line.strip()!r}")
-                key, raw = text.split("=", 1)
-                pairs[key.strip()] = raw.strip()
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not a text config file ({exc})") from None
+        for lineno, line in enumerate(lines, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ConfigError(f"{path}:{lineno}: expected key = value, got {line.strip()!r}")
+            key, raw = text.split("=", 1)
+            pairs[key.strip()] = raw.strip()
     cfg = config_from_pairs(pairs)
     env = os.environ if env is None else env
     if env.get("AGVM_SEED"):
@@ -338,8 +387,7 @@ class _Runner:
     def batch_loss_and_grad(self, idx: np.ndarray, t: int):
         """One forward/backward over the whole mini-batch; (loss, flat grad)."""
         loss = self.forward(idx, t)
-        grad = np.concatenate(gradients(loss, self.model.params))
-        return float(loss.data[0]), grad
+        return float(loss.data[0]), gradients(loss, self.model.params).packed
 
     def grouped_loss_and_grad(self, idx: np.ndarray, t: int):
         """One whole-batch backward split by odd/even rows; (loss, flat grad,
@@ -350,7 +398,9 @@ class _Runner:
         per-sample gradients: exactly the odd/even split of the batch.
         """
         loss = self.forward(idx, t)
-        g1, g2 = 2.0 * np.concatenate(gradients(loss, self.model.params, row_groups=2), axis=1)
+        halves = gradients(loss, self.model.params, row_groups=2).packed
+        halves *= 2.0
+        g1, g2 = halves
         groups = GroupedGradients.from_half_means(g1, g2, self.partition, len(idx))
         grad = (g1 + g2) / 2.0
         return float(loss.data[0]), grad, groups

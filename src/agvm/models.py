@@ -64,19 +64,28 @@ class ModelConfig:
             bad.append(f"mask_fraction must lie in [0, 1), got {self.mask_fraction}")
         if self.proposals < 1:
             bad.append(f"proposals must be >= 1, got {self.proposals}")
-        if self.proposal_noise_std < 0:
-            bad.append(f"proposal_noise_std must be >= 0, got {self.proposal_noise_std}")
+        if not (np.isfinite(self.proposal_noise_std) and self.proposal_noise_std >= 0):
+            bad.append(f"proposal_noise_std must be finite and >= 0, got {self.proposal_noise_std}")
         if not self.pyramid and self.levels != 1:
             bad.append(f"pyramid=false feeds a single level; set levels=1 (got {self.levels})")
         if self.pyramid and self.levels >= 1 and self.trunk_widths:
             depth = self.levels - 1
             trunk_out = self.trunk_widths[-1]
-            if trunk_out % (1 << depth) != 0 or trunk_out < (1 << depth):
+            # depth >= bit_length means 2^depth > trunk_out, checked without
+            # building a 2^depth integer for a huge level count
+            if (trunk_out < 1 or depth >= int(trunk_out).bit_length()
+                    or trunk_out % (1 << depth) != 0):
                 bad.append(
-                    f"trunk output width {trunk_out} must be divisible by 2^(levels-1)={1 << depth} "
+                    f"trunk output width {trunk_out} must be divisible by 2^(levels-1)=2^{depth} "
                     "so every branch can pair-average it")
         if bad:
             raise ConfigError("invalid model config: " + "; ".join(bad))
+
+    @property
+    def module_count(self) -> int:
+        """Modules of the partition SyntheticModel builds: the trunk, the
+        pyramid (if any), and one shared head or one head per level."""
+        return 1 + int(self.pyramid) + (self.levels if self.head_mode == "independent" else 1)
 
 
 @dataclass(frozen=True)

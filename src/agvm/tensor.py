@@ -32,9 +32,18 @@ gradients only for tracked inputs and returns None for constant ones: a
 constant left matmul operand (the data batch), a loss target or a loss
 weight costs no kernel. An equal-shape add passes its incoming gradient
 through uncopied, so one array can reach several tensors; the reverse pass
-adds contributions out of place, and ``gradients``/``backward`` copy an
-array they have already handed out, so no two returned gradients share
-memory.
+adds contributions to non-leaf tensors out of place.
+
+Requested gradients are packed. ``gradients(loss, wrt, row_groups)`` lays
+the ``wrt`` tensors out side by side in one preallocated buffer, ``[total]``
+or ``[k, total]``, and the reverse pass writes each leaf's first
+contribution straight into its slot (a matmul or axis-0 sum with ``out=``)
+and adds later ones in place; only slots that no path reached are zeroed.
+The result is a list of slot views with the buffer as ``.packed``, so a
+caller that wants one flat gradient vector (or the [k, total] row groups)
+takes it without a concatenation or a copy. ``backward`` routes the leaves
+it finds through the same slots, and copies a non-leaf array it has
+already handed out, so no two returned gradients share memory.
 
 relu is ``np.fmax(x, 0.0)`` followed by an in-place ``+= 0.0``, which gives
 the same bits as ``np.where(x > 0, x, 0.0)`` at lower cost: fmax maps NaN
@@ -197,7 +206,8 @@ class _RowSum:
     """A pull's gradient for an operand that sums a per-row term over the
     leading batch axis: ``left.T @ right`` (matmul's right operand) or, with
     no ``right``, ``left.sum(axis=0)`` (a broadcast bias). The reverse pass
-    reduces it whole, or per row group for a leaf when grouping."""
+    reduces it whole, or per row group for a leaf when grouping, writing a
+    leaf's first contribution straight into its slot (``out``)."""
 
     __slots__ = ("left", "right")
 
@@ -205,21 +215,35 @@ class _RowSum:
         self.left = left
         self.right = right
 
-    def total(self) -> np.ndarray:
+    def total(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The flat [size] sum; written into ``out``, and ``out`` returned,
+        when given."""
+        if out is None:
+            if self.right is None:
+                return self.left.sum(axis=0).reshape(-1)
+            return (self.left.T @ self.right).reshape(-1)
         if self.right is None:
-            return self.left.sum(axis=0).reshape(-1)
-        return (self.left.T @ self.right).reshape(-1)
+            self.left.sum(axis=0, out=out.reshape(self.left.shape[1:]))
+        else:
+            np.matmul(self.left.T, self.right,
+                      out=out.reshape(self.left.shape[1], self.right.shape[1]))
+        return out
 
-    def split(self, k: int) -> np.ndarray:
-        """[k, size]: row g sums the terms of rows g, g+k, g+2k, ..."""
+    def split(self, k: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """[k, size]: row g sums the terms of rows g, g+k, g+2k, ...; written
+        into ``out``, and ``out`` returned, when given."""
         rows = self.left.shape[0]
         if rows % k:
             raise ShapeError(f"gradients: {rows} batch rows do not split into {k} row groups")
         left = self.left.reshape(rows // k, k, -1)
         if self.right is None:
-            return left.sum(axis=0)
+            return left.sum(axis=0, out=out)
         right = self.right.reshape(rows // k, k, -1)
-        return np.matmul(left.transpose(1, 2, 0), right.transpose(1, 0, 2)).reshape(k, -1)
+        left, right = left.transpose(1, 2, 0), right.transpose(1, 0, 2)
+        if out is None:
+            return np.matmul(left, right).reshape(k, -1)
+        np.matmul(left, right, out=out.reshape(k, left.shape[1], right.shape[2]))
+        return out
 
 
 # How an elementwise operand relates to the output (see _binary_layout).
@@ -404,15 +428,21 @@ def masked_select(a: Tensor, mask) -> Tensor:
     return _emit(kept, (a,), pull)
 
 
-def _walk(records: list, loss: Tensor, row_groups: int = 0) -> dict:
-    """Reverse pass over tape records. Returns {id(tensor): (tensor, grad)}.
+def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0):
+    """Reverse pass over tape records.
 
-    Gradients are flat, except that with ``row_groups`` = k > 0 a leaf's
-    gradient is [k, size], row g summing the contributions of batch rows
-    g, g+k, g+2k, ... One array may be the gradient of several tensors
-    (an add passes its gradient through); callers copy before handing out.
+    ``slots`` maps id(leaf) to the array that leaf's gradient is written
+    into: flat [size], or [k, size] with ``row_groups`` = k > 0, row g
+    summing the contributions of batch rows g, g+k, g+2k, ... A leaf's first
+    contribution is written straight into its slot and later ones are added
+    in place; leaves without a slot are skipped. Returns ({id(tensor):
+    (tensor, grad)} for the non-leaf tensors reached, the set of ids of the
+    slotted leaves reached). One array may be the gradient of several
+    non-leaf tensors (an add passes its gradient through); callers copy
+    before handing out.
     """
     grads = {id(loss): (loss, np.ones(1))}
+    reached = set()
     for out, inputs, pull, tracked in reversed(records):
         got = grads.get(id(out))
         if got is None:
@@ -420,18 +450,72 @@ def _walk(records: list, loss: Tensor, row_groups: int = 0) -> dict:
         for x, gx in zip(inputs, pull(got[1], tracked)):
             if gx is None:
                 continue
-            if row_groups and x.tape is None:
-                if type(gx) is not _RowSum:
-                    raise TapeError(
-                        f"gradients: a leaf of shape {x.shape} is reached through a pull "
-                        "that does not sum over the batch axis, so its gradient cannot "
-                        "be split by row group")
-                gx = gx.split(row_groups)
-            elif type(gx) is _RowSum:
-                gx = gx.total()
-            cur = grads.get(id(x))
-            grads[id(x)] = (x, gx if cur is None else cur[1] + gx)
-    return grads
+            if x.tape is not None:
+                if type(gx) is _RowSum:
+                    gx = gx.total()
+                cur = grads.get(id(x))
+                grads[id(x)] = (x, gx if cur is None else cur[1] + gx)
+                continue
+            slot = slots.get(id(x))
+            if slot is None:
+                continue
+            first = id(x) not in reached
+            if type(gx) is _RowSum:
+                dest = slot if first else None
+                gx = gx.split(row_groups, dest) if row_groups else gx.total(dest)
+            elif row_groups:
+                raise TapeError(
+                    f"gradients: a leaf of shape {x.shape} is reached through a pull "
+                    "that does not sum over the batch axis, so its gradient cannot "
+                    "be split by row group")
+            if not first:
+                slot += gx
+            else:
+                if gx is not slot:
+                    np.copyto(slot, gx)
+                reached.add(id(x))
+    return grads, reached
+
+
+class Gradients(list):
+    """The gradients ``gradients`` returns, in ``wrt`` order. Every entry is
+    a view of its own slot in one packed buffer, ``packed``."""
+
+    __slots__ = ("packed",)
+
+
+def _packed_pass(records: list, loss: Tensor, wrt: Sequence[Tensor], k: int):
+    """One reverse pass writing the gradients of ``wrt`` into one packed
+    buffer, [total] or [k, total], the tensors laid out side by side in
+    ``wrt`` order. Slots no path reached are zeroed; a leaf's repeated slot
+    copies its first one, and a non-leaf's slot is copied in after the walk.
+    Returns (Gradients, non-leaf gradients, ids of the leaves reached)."""
+    total = sum(p.size for p in wrt)
+    packed = np.empty((k, total) if k else total)
+    out = Gradients()
+    out.packed = packed
+    slots = {}
+    end = 0
+    for p in wrt:
+        start, end = end, end + p.size
+        slot = packed[:, start:end] if k else packed[start:end]
+        out.append(slot)
+        if p.tape is None:
+            slots.setdefault(id(p), slot)
+    grads, reached = _walk(records, loss, slots, k)
+    if len(reached) == len(wrt):
+        return out, grads, reached      # distinct leaves, all reached
+    for p, slot in zip(wrt, out):
+        if id(p) in reached:
+            src = slots[id(p)]
+        else:
+            got = grads.get(id(p))
+            src = None if got is None else got[1]
+        if src is None:
+            slot.fill(0.0)
+        elif src is not slot:
+            np.copyto(slot, src)
+    return out, grads, reached
 
 
 def _unshared(grad: np.ndarray, handed: set) -> np.ndarray:
@@ -485,23 +569,38 @@ def backward(loss: Tensor):
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
     Leaf gradients accumulate across calls (use zero_grad between passes
-    when fresh gradients are needed). Consumes the tape.
+    when fresh gradients are needed). The leaves go through the same packed
+    pass as ``gradients``, so a fresh leaf ``grad`` is a view of its slot.
+    Consumes the tape.
     """
+    records = _consume(loss)
+    leaves = list({id(x): x for _, inputs, _, tracked in records
+                   for x, on in zip(inputs, tracked) if on and x.tape is None}.values())
+    got, grads, reached = _packed_pass(records, loss, leaves, 0)
+    for x, g in zip(leaves, got):
+        if id(x) in reached:
+            x.grad = g if x.grad is None else x.grad + g
     handed = set()
-    for t, g in _walk(_consume(loss), loss).values():
+    for t, g in grads.values():
         if t.requires_grad:
             t.grad = _unshared(g, handed) if t.grad is None else t.grad + g
 
 
-def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = None) -> list:
+def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = None) -> Gradients:
     """Gradients of ``loss`` w.r.t. ``wrt`` without touching any ``.grad`` field.
 
+    One reverse pass writes every gradient into its slot of one packed
+    buffer, the ``wrt`` tensors laid out side by side in order: ``[total]``
+    without row groups, ``[k, total]`` with ``row_groups`` = k. The result
+    is a list whose entries are views of those slots (flat [size], or
+    [k, size]) and whose ``packed`` attribute is the buffer itself, so a
+    caller that wants one flat vector takes ``.packed`` with no concatenation.
+    No two entries share memory: a tensor listed twice gets two equal slots.
     Thread-safe against other graphs sharing the same leaves; missing paths
     yield zeros. Consumes the tape like backward.
 
-    With ``row_groups`` = k, each gradient is a [k, size] array from the same
-    single reverse pass: row g is the part of the gradient contributed by
-    batch rows g, g+k, g+2k, ..., and the rows sum to the plain gradient.
+    With ``row_groups`` = k, row g of every gradient is the part contributed
+    by batch rows g, g+k, g+2k, ..., and the rows sum to the plain gradient.
     The split happens where a leaf's pull sums over the batch axis (matmul's
     right operand, the bias of a broadcast add), so every ``wrt`` tensor
     must be a leaf reached only through such pulls, with a leading batch
@@ -518,16 +617,7 @@ def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = N
         if any(p.tape is not None for p in wrt):
             raise TapeError("gradients: row_groups splits leaf gradients only; "
                             "every wrt tensor must be a leaf")
-    grads = _walk(_consume(loss), loss, k)
-    handed = set()
-    out = []
-    for p in wrt:
-        got = grads.get(id(p))
-        if got is not None:
-            out.append(_unshared(got[1], handed))
-        else:
-            out.append(np.zeros((k, p.size)) if k else np.zeros(p.size))
-    return out
+    return _packed_pass(_consume(loss), loss, wrt, k)[0]
 
 
 def pack_params(params: Sequence[Tensor]) -> np.ndarray:

@@ -20,6 +20,13 @@ from .models import ModulePartition
 from .tensor import ShapeError, gradients
 
 
+# Below this squared norm no entry exceeds 1e150 in magnitude, so
+# cosine_similarity needs no rescaling: a dot product of squares is at least
+# its largest term, and fl(x * x) >= 1.0000000000000003e300 for every double
+# x > 1e150.
+_SQUARED_NORM_LIMIT = 1e300
+
+
 class GroupingError(ValueError):
     """The per-sample gradients cannot be split as requested."""
 
@@ -94,6 +101,14 @@ def split_groups(per_sample_grads, partition: ModulePartition) -> GroupedGradien
     return GroupedGradients.from_flat(g1, g2, g, partition, b)
 
 
+def _squared_norm(x: np.ndarray):
+    """The x.dot(x) that np.linalg.norm takes the square root of for a flat
+    float vector, on the same (raveled) array, so sqrt of it is bit-identical
+    to np.linalg.norm(x)."""
+    x = x.ravel(order="K")
+    return x.dot(x)
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray, eps_norm: float = 1e-12) -> float:
     """dot(a,b) / (|a||b|); defined as 0 when either norm is below eps_norm,
     so a module with vanishing gradient signal reads as maximally noisy."""
@@ -101,15 +116,19 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray, eps_norm: float = 1e-12) -> 
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
         raise ShapeError(f"cosine_similarity: lengths differ: {a.size} vs {b.size}")
-    # rescale huge vectors so the squared sums cannot overflow
-    ma = float(np.max(np.abs(a), initial=0.0))
-    mb = float(np.max(np.abs(b), initial=0.0))
-    if ma > 1e150:
-        a = a / ma
-    if mb > 1e150:
-        b = b / mb
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    with np.errstate(over="ignore"):    # an overflow here is rescaled away below
+        aa, bb = _squared_norm(a), _squared_norm(b)
+    if not (aa < _SQUARED_NORM_LIMIT and bb < _SQUARED_NORM_LIMIT):
+        # rescale huge vectors so the squared sums cannot overflow
+        ma = float(np.max(np.abs(a), initial=0.0))
+        mb = float(np.max(np.abs(b), initial=0.0))
+        if ma > 1e150:
+            a = a / ma
+        if mb > 1e150:
+            b = b / mb
+        aa, bb = _squared_norm(a), _squared_norm(b)
+    na = np.sqrt(aa)
+    nb = np.sqrt(bb)
     if na < eps_norm or nb < eps_norm or not (np.isfinite(na) and np.isfinite(nb)):
         return 0.0
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
@@ -145,9 +164,11 @@ def per_sample_gradients(model, inputs, targets, mask_seed: int,
     """[batch, d] per-sample flat gradients from one whole-batch backward pass.
 
     The pass splits every parameter gradient into one row group per sample
-    (``gradients(..., row_groups=batch)``); row j times the batch size is the
-    gradient of sample j's own loss under row j of the iteration's masks and
-    feature noise. That is exact because every sample contributes equally
+    (``gradients(..., row_groups=batch)``) straight into one packed
+    [batch, d] buffer, which is scaled by the batch size in place and
+    returned: no other [batch, d] array is allocated. Row j is the gradient
+    of sample j's own loss under row j of the iteration's masks and feature
+    noise. That is exact because every sample contributes equally
     many loss elements, so the batch loss is the mean of the per-sample
     losses, and the mean over any subset of rows equals the gradient of that
     subset's mean loss.
@@ -157,7 +178,9 @@ def per_sample_gradients(model, inputs, targets, mask_seed: int,
     batch = inputs.shape[0]
     masks, noise = model.draw_noise(mask_seed, batch, mask_fraction)
     loss = model.loss_given_noise(inputs, targets, masks, noise)
-    return batch * np.concatenate(gradients(loss, model.params, row_groups=batch), axis=1)
+    per_sample = gradients(loss, model.params, row_groups=batch).packed
+    per_sample *= batch
+    return per_sample
 
 
 def brute_force_variance_oracle(model, dataset, w, b: int, resamples: int, seed: int,

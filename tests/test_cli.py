@@ -75,6 +75,23 @@ class TestTrain:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestInvalidValues:
+    @pytest.mark.parametrize("flags", [
+        ["--anchor=5"], ["--clip_lo=2"], ["--alpha=1.0"], ["--eps_ratio=0"],
+        ["--optimizer=adamw", "--beta2=1.0"], ["--batch_size=abc"], ["--n_samples=1e3"],
+        ["--trunk_widths=32,x"], ["--base_lr=-1"], ["--base_lr=inf"], ["--noise_std=nan"],
+        ["--decay_factor=nan"], ["--seed=-1"], ["--base_batch=0"], ["--ablation=mask:abc"],
+    ])
+    def test_exit_1_with_an_error_line_and_no_traceback(self, flags, capsys, monkeypatch):
+        monkeypatch.delenv("AGVM_SEED", raising=False)
+        code, out, err = run_main(["train", "--total_iterations=20", "--warmup_iters=5"]
+                                  + flags, capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in out + err
+        assert "status=" not in out
+
+
 class TestOtherCommands:
     def test_variance_trace(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("AGVM_SEED", raising=False)

@@ -1,8 +1,12 @@
 import math
 import os
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agvm import harness
 from agvm.harness import (ExperimentConfig, LrSchedule, TraceRow, ablation_suite,
@@ -124,6 +128,61 @@ class TestConfig:
         assert ExperimentConfig(ablation="mask:0.5").model_config().mask_fraction == 0.5
         assert ExperimentConfig(ablation="proposals:4").model_config().proposals == 4
         assert ExperimentConfig(ablation="no_pyramid").model_config().pyramid is False
+
+
+# (key, value, text the ConfigError must contain); each value once ended in
+# a traceback, a fake divergence or a silent run
+INVALID_VALUES = [
+    ("anchor", "5", "anchor"), ("anchor", "-1", "anchor"), ("clip_lo", "2", "clip_lo"),
+    ("clip_lo", "0", "clip_lo"), ("clip_hi", "0.5", "clip_hi"), ("alpha", "1.0", "alpha"),
+    ("beta1", "-0.1", "beta1"), ("beta2", "1.0", "beta2"), ("eps_ratio", "0", "eps_ratio"),
+    ("eps_adam", "-1e-8", "eps_adam"), ("batch_size", "abc", "batch_size"),
+    ("n_samples", "1e3", "n_samples"), ("trunk_widths", "32,x", "trunk_widths"),
+    ("milestones", "1,,2", "milestones"), ("base_lr", "-1", "base_lr"),
+    ("base_lr", "inf", "base_lr"), ("noise_std", "nan", "noise_std"),
+    ("noise_std", "-0.1", "noise_std"), ("decay_factor", "nan", "decay_factor"),
+    ("decay_factor", "-0.3", "decay_factor"), ("weight_decay", "inf", "weight_decay"),
+    ("seed", "-1", "seed"), ("dataset_seed", "-1", "dataset_seed"),
+    ("base_batch", "0", "base_batch"), ("warmup_iters", "-1", "warmup_iters"),
+    ("lr_decay", "step", "lr_decay"), ("lr_scaling", "sqrt", "lr_scaling"),
+    ("ablation", "mask:abc", "mask:abc"), ("ablation", "proposals:1e3", "proposals:1e3"),
+    ("proposal_noise_std", "nan", "proposal_noise_std"),
+    ("levels", "100000000000", "levels"),
+]
+
+
+class TestConfigSurface:
+    @pytest.mark.parametrize("key,value,needle", INVALID_VALUES)
+    def test_invalid_value_is_a_config_error(self, key, value, needle):
+        overrides = {"total_iterations": "20", "warmup_iters": "5", key: value}
+        with pytest.raises(ConfigError, match=re.escape(needle)):
+            load_config(None, overrides=overrides, env={})
+
+    def test_anchor_may_be_any_module(self):
+        assert ExperimentConfig(anchor=2).model_config().module_count == 3
+        ExperimentConfig(anchor=2).validate()
+        ExperimentConfig(anchor=5, ablation="independent_heads").validate()
+        with pytest.raises(ConfigError, match="anchor"):
+            ExperimentConfig(anchor=2, ablation="no_pyramid").validate()
+
+    @settings(max_examples=500, deadline=None)
+    @given(pairs=st.dictionaries(st.sampled_from([f.name for f in fields(ExperimentConfig)]),
+                                 st.one_of(
+                                     st.text(),
+                                     st.integers().map(str),
+                                     st.floats().map(repr),
+                                     st.lists(st.integers(-2, 70), max_size=3).map(
+                                         lambda v: ",".join(map(str, v))),
+                                     st.sampled_from(["true", "no", "adamw", "poly", "linear",
+                                                      "independent", "mask:0.5", "proposals:0",
+                                                      "proposals:3", "no_pyramid"])),
+                                 max_size=3))
+    def test_any_text_for_any_key_validates_or_is_a_config_error(self, pairs):
+        # validate() only: a config that validates may still be too big to build
+        try:
+            config_from_pairs(pairs).validate()
+        except ConfigError:
+            pass
 
 
 class TestRunExperiment:

@@ -105,6 +105,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=needle):
             ModelConfig(**kw).validate()
 
+    @pytest.mark.parametrize("kw", [
+        dict(), dict(pyramid=False, levels=1), dict(head_mode="independent"),
+        dict(head_mode="independent", levels=2, trunk_widths=(8,)),
+        dict(head_mode="independent", pyramid=False, levels=1),
+    ])
+    def test_module_count_matches_the_built_partition(self, kw):
+        cfg = ModelConfig(**kw)
+        assert cfg.module_count == SyntheticModel(cfg, seed=0).partition.h
+
+    def test_huge_level_count_is_rejected_without_building_2_to_the_depth(self):
+        with pytest.raises(ConfigError, match="divisible"):
+            ModelConfig(levels=10 ** 12).validate()
+
 
 class TestForwardLoss:
     def test_unmasked_loss_is_plain_mse(self):

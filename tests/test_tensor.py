@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from agvm.models import ModelConfig, SyntheticModel, TwoBlockLinearModel, make_dataset
 from agvm.tensor import (ShapeError, TapeError, Tensor, add, backward,
                          grad_check, gradients, load_params, masked_select,
                          matmul, mean, multiply, new_graph, no_grad, pack_params,
@@ -627,3 +628,125 @@ def test_shared_add_gradient_values_are_right():
     ga, gb = gradients(reduce_sum(multiply(add(a, b), Tensor([5.0, 7.0]))), [a, b])
     np.testing.assert_array_equal(ga, [5.0, 7.0])
     np.testing.assert_array_equal(gb, [5.0, 7.0])
+
+
+# ---- packed gradients: one buffer, slot views, first contribution in place ----
+
+def _model_case(kind, proposals, mask_fraction, jitter, batch, seed):
+    """A model, a batch and its fixed masks and noise, so the same loss can
+    be rebuilt for several reverse passes."""
+    if kind == "two_block":
+        model = TwoBlockLinearModel(6, 5, 4, seed=seed)
+        x, y = make_dataset(batch, 6, 4, 0.1, seed + 1)
+    else:
+        model = SyntheticModel(ModelConfig(
+            trunk_widths=(16,), head_width=8, proposals=proposals,
+            mask_fraction=mask_fraction, proposal_noise_std=0.3 if jitter else 0.0,
+            head_mode=kind), seed=seed)
+        x, y = make_dataset(batch, 32, 4, 0.1, seed + 1)
+    masks, noise = model.draw_noise(seed + 2, batch)
+    return model, lambda: model.loss_given_noise(x, y, masks, noise)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+PACKED_CASES = dict(
+    kind=st.sampled_from(["shared", "independent", "two_block"]),
+    proposals=st.integers(1, 8),
+    mask_fraction=st.sampled_from([0.0, 0.5, 0.75]),
+    jitter=st.booleans(),
+    batch=st.sampled_from([2, 4, 6]),
+    seed=st.integers(0, 2 ** 16),
+)
+
+
+class TestPackedGradients:
+    @settings(max_examples=25, deadline=None)
+    @given(**PACKED_CASES)
+    def test_packed_equals_backward_grads(self, kind, proposals, mask_fraction, jitter,
+                                          batch, seed):
+        model, loss = _model_case(kind, proposals, mask_fraction, jitter, batch, seed)
+        packed = gradients(loss(), model.params).packed
+        zero_grads(model.params)
+        backward(loss())
+        want = np.concatenate([p.grad for p in model.params])
+        assert packed.shape == want.shape
+        assert np.array_equal(_bits(packed), _bits(want))
+
+    @settings(max_examples=25, deadline=None)
+    @given(**PACKED_CASES, per_sample=st.booleans())
+    def test_grouped_packed_equals_one_pass_per_parameter(
+            self, kind, proposals, mask_fraction, jitter, batch, seed, per_sample):
+        # each reference pass requests one parameter, whose slot is then the
+        # whole contiguous buffer rather than a strided column block
+        model, loss = _model_case(kind, proposals, mask_fraction, jitter, batch, seed)
+        k = batch if per_sample else 2
+        packed = gradients(loss(), model.params, row_groups=k).packed
+        want = np.concatenate([gradients(loss(), [p], row_groups=k).packed
+                               for p in model.params], axis=1)
+        assert packed.shape == (k, sum(p.size for p in model.params))
+        assert np.array_equal(_bits(packed), _bits(want))
+
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    def test_entries_are_unshared_views_of_packed(self, k):
+        rng = np.random.default_rng(0)
+        params = _mlp_params(rng)
+        x, y = rng.normal(0, 1, (6, 5)), rng.normal(0, 1, (6, 3))
+        got = gradients(_mlp_loss(x, y, *params), params, row_groups=k)
+        assert isinstance(got, list) and len(got) == len(params)
+        width = sum(p.size for p in params)
+        assert got.packed.shape == ((k, width) if k else (width,))
+        offset = 0
+        for g, p in zip(got, params):
+            assert g.shape == ((k, p.size) if k else (p.size,))
+            assert np.shares_memory(g, got.packed)
+            assert np.array_equal(g, got.packed[..., offset:offset + p.size])
+            offset += p.size
+        _assert_no_shared_memory(got)
+
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_repeated_leaf_gets_two_equal_unshared_slots(self, k):
+        rng = np.random.default_rng(1)
+        params = _mlp_params(rng)
+        x, y = rng.normal(0, 1, (6, 5)), rng.normal(0, 1, (6, 3))
+        w1, b1, w2, b2 = params
+        got = gradients(_mlp_loss(x, y, *params), [w2, w1, w2, b2], row_groups=k)
+        assert np.array_equal(got[0], got[2])
+        assert np.any(got[0] != 0.0)
+        _assert_no_shared_memory(got)
+
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_unreached_leaf_gets_a_zero_slot(self, k):
+        rng = np.random.default_rng(2)
+        params = _mlp_params(rng)
+        x, y = rng.normal(0, 1, (6, 5)), rng.normal(0, 1, (6, 3))
+        unused = Tensor(np.ones((5, 4)), requires_grad=True)
+        wrt = params[:2] + [unused] + params[2:]
+        width = sum(p.size for p in wrt) * (k or 1)
+        for _ in range(3):
+            # leave non-zero garbage where the next buffer is likely to go
+            np.full(width, np.nan)
+            got = gradients(_mlp_loss(x, y, *params), wrt, row_groups=k)
+            assert np.array_equal(got[2], np.zeros_like(got[2]))
+            assert all(np.all(np.isfinite(g)) for g in got)
+
+    def test_non_leaf_slot_is_a_copy_of_its_gradient(self):
+        rng = np.random.default_rng(3)
+        a, b = (Tensor(rng.normal(0, 1, (3, 2)), requires_grad=True) for _ in range(2))
+        inter = add(a, b)
+        weight = rng.normal(0, 1, (3, 2))
+        got = gradients(reduce_sum(multiply(inter, Tensor(weight))), [inter, a, b])
+        for g in got:
+            np.testing.assert_array_equal(g, weight.reshape(-1))
+        _assert_no_shared_memory(got)
+
+    def test_backward_leaves_an_unreached_leaf_grad_unset(self):
+        rng = np.random.default_rng(4)
+        a, b = (Tensor(rng.normal(0, 1, (3, 2)), requires_grad=True) for _ in range(2))
+        dead = multiply(b, b)        # recorded, but not on the path to the loss
+        backward(reduce_sum(multiply(a, a)))
+        assert b.grad is None
+        np.testing.assert_array_equal(a.grad, 2.0 * a.data)
+        assert dead.grad is None

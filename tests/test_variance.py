@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from agvm.harness import BENCHMARK
 from agvm.models import ModelConfig, ModulePartition, SyntheticModel, \
     TwoBlockLinearModel, make_dataset
 from agvm.tensor import ShapeError, gradients
@@ -68,6 +72,24 @@ class TestSplitGroups:
         np.testing.assert_array_equal(groups.g["all"], [2.0, 2.0, 2.0])
 
 
+def cosine_reference(a, b, eps_norm=1e-12):
+    """cosine_similarity as it was before the common case skipped the
+    max-abs passes: every call rescales vectors with an entry above 1e150."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    ma = float(np.max(np.abs(a), initial=0.0))
+    mb = float(np.max(np.abs(b), initial=0.0))
+    if ma > 1e150:
+        a = a / ma
+    if mb > 1e150:
+        b = b / mb
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na < eps_norm or nb < eps_norm or not (np.isfinite(na) and np.isfinite(nb)):
+        return 0.0
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
 class TestCosine:
     def test_parallel(self):
         assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
@@ -86,6 +108,35 @@ class TestCosine:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             cosine_similarity([1.0], [1.0, 2.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), size=st.integers(0, 40), stride=st.sampled_from([1, 2, -1]))
+    def test_bits_match_the_always_rescaling_reference(self, data, size, stride):
+        values = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(-1e3, 1e3),
+            st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1e-13, 1e150, -1e150,
+                             float(np.nextafter(1e150, np.inf)), 1e200, -1e200, 1e308,
+                             np.nan, np.inf]))
+        scale = data.draw(st.sampled_from([1.0, 1e-200, 1e140, 1e200]))
+        a, b = (data.draw(hnp.arrays(np.float64, size * abs(stride), elements=values))
+                for _ in range(2))
+        a, b = (scale * a)[::stride], b[::stride]
+        for x, y in ((a, b), (b, a), (a, a)):
+            got, want = cosine_similarity(x, y), cosine_reference(x, y)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (x, y, got, want)
+
+    @pytest.mark.parametrize("big", [1e150, float(np.nextafter(1e150, np.inf)), 1.004e150,
+                                     1e200])
+    def test_rescaling_threshold(self, big):
+        # squared norms just above 1e300 from one entry just above 1e150
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            a = rng.normal(0.0, 1e148, 6)
+            a[rng.integers(6)] = big
+            b = rng.normal(0.0, 1.0, 6)
+            for x, y in ((a, b), (b, a)):
+                assert cosine_similarity(x, y) == cosine_reference(x, y)
 
 
 class TestPhi:
@@ -298,6 +349,23 @@ class TestPerSampleGradients:
         assert ps.shape == (batch, model.partition.total_size)
         np.testing.assert_allclose(ps, per_sample_reference(model, x, y, seed + 2),
                                    rtol=0, atol=1e-13)
+
+    def test_peak_memory_is_about_the_result(self):
+        # the oracle check's size: n = 512 rows of the benchmark model
+        p = BENCHMARK
+        model = TwoBlockLinearModel(p["input_dim"], p["hidden_dim"], p["output_dim"], seed=1)
+        rng = np.random.default_rng(2)
+        x = rng.normal(p["input_mean"], p["input_std"], (p["n"], p["input_dim"]))
+        y = rng.normal(0.0, 1.0, (p["n"], p["output_dim"]))
+        per_sample_gradients(model, x, y, mask_seed=0)
+        tracemalloc.start()
+        try:
+            ps = per_sample_gradients(model, x, y, mask_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ps.shape == (p["n"], model.partition.total_size)
+        assert peak <= 1.25 * ps.nbytes, (peak, ps.nbytes)
 
     def test_rows_match_whole_batch_gradient(self):
         model = SyntheticModel(ModelConfig(mask_fraction=0.25), seed=2)
