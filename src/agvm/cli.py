@@ -43,7 +43,6 @@ def _build_parser():
     common(sub.add_parser("train", help="run one experiment"))
     ab = sub.add_parser("ablate", help="run the ablation arms with identical seeds")
     ab.add_argument("--config", help="flat key = value config file")
-    ab.add_argument("--out-dir", help="directory for per-arm trace CSVs")
     common(sub.add_parser("variance-trace", help="trace per-module variance without updates"))
     gc = sub.add_parser("grad-check", help="finite-difference check of model gradients")
     gc.add_argument("--config", help="flat key = value config file")
@@ -59,7 +58,7 @@ def main(argv=None) -> int:
     args, extras = parser.parse_known_args(argv)
     try:
         return _dispatch(args, extras)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -76,7 +76,16 @@ def lr_at(schedule: LrSchedule, t: int, b: int) -> float:
     raise ConfigError(f"unknown lr decay mode {schedule.decay!r}")
 
 
-ABLATIONS = ("none", "independent_heads", "no_pyramid", "mask", "proposals")
+# Ablation arms in report order: arm name -> model-field overrides applied on
+# top of the base config. ``ablation`` is "none" or one of these names.
+ABLATION_ARMS = {
+    "shared": {},
+    "independent_heads": {"head_mode": "independent"},
+    "no_pyramid": {"pyramid": False, "levels": 1},
+    "mask_75": {"mask_fraction": 0.75},
+    "proposals_1": {"proposals": 1},
+    "proposals_8": {"proposals": 8},
+}
 
 
 @dataclass(frozen=True)
@@ -163,8 +172,11 @@ class ExperimentConfig:
             bad.append(f"lr_scaling must be 'linear' or 'linear-then-sqrt', got {self.lr_scaling!r}")
         if self.lr_decay not in ("multistep", "poly"):
             bad.append(f"lr_decay must be 'multistep' or 'poly', got {self.lr_decay!r}")
-        if self.decay_factor < 0:
-            bad.append(f"decay_factor must be >= 0, got {self.decay_factor}")
+        for name in ("decay_factor", "poly_power", "weight_decay"):
+            if getattr(self, name) < 0:
+                bad.append(f"{name} must be >= 0, got {getattr(self, name)}")
+        if any(m < 0 for m in self.milestones):
+            bad.append(f"milestones must be >= 0, got {self.milestones}")
         if self.optimizer not in ("sgd", "adamw"):
             bad.append(f"optimizer must be 'sgd' or 'adamw', got {self.optimizer!r}")
         for name in ("alpha", "beta1", "beta2"):
@@ -194,26 +206,17 @@ class ExperimentConfig:
 
     def _ablation_fields(self) -> dict:
         """Model-field overrides implied by the ablation arm."""
-        a = self.ablation
-        if a == "none":
+        if self.ablation == "none":
             return {}
-        if a == "independent_heads":
-            return {"head_mode": "independent"}
-        if a == "no_pyramid":
-            return {"pyramid": False, "levels": 1}
-        if a == "mask":
-            return {"mask_fraction": 0.75}
-        if a.startswith("mask:"):
-            return {"mask_fraction": _arm_value(a, float)}
-        if a == "proposals":
-            a = "proposals:8"
-        if a.startswith("proposals:"):
+        if self.ablation not in ABLATION_ARMS:
+            raise ConfigError(f"unknown ablation {self.ablation!r}; expected 'none' or one "
+                              f"of {', '.join(ABLATION_ARMS)}")
+        out = dict(ABLATION_ARMS[self.ablation])
+        if "proposals" in out and self.proposal_noise_std <= 0:
             # replica evaluations only matter through the feature jitter they
             # average, so the proposal arms always run with it enabled
-            std = self.proposal_noise_std if self.proposal_noise_std > 0 else 0.25
-            return {"proposals": _arm_value(a, int), "proposal_noise_std": std}
-        raise ConfigError(f"unknown ablation {a!r}; expected one of {ABLATIONS} "
-                          "or mask:<fraction> / proposals:<count>")
+            out["proposal_noise_std"] = 0.25
+        return out
 
     def model_config(self) -> ModelConfig:
         base = dict(
@@ -246,15 +249,6 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False,
 
 _KIND_WORDS = {int: "an integer", float: "a number",
                tuple: "comma-separated integers"}
-
-
-def _arm_value(arm: str, kind):
-    """The number after the colon of a mask:<fraction> / proposals:<count> arm."""
-    try:
-        return kind(arm.split(":", 1)[1])
-    except ValueError:
-        raise ConfigError(f"unknown ablation {arm!r}: expected {_KIND_WORDS[kind]} "
-                          "after the colon") from None
 
 
 def _coerce(name: str, kind, raw: str):
@@ -401,8 +395,8 @@ class _Runner:
         halves = gradients(loss, self.model.params, row_groups=2).packed
         halves *= 2.0
         g1, g2 = halves
-        groups = GroupedGradients.from_half_means(g1, g2, self.partition, len(idx))
         grad = (g1 + g2) / 2.0
+        groups = GroupedGradients.from_half_means(g1, g2, grad, self.partition, len(idx))
         return float(loss.data[0]), grad, groups
 
     def trace_rows(self, t: int, loss: float, groups: GroupedGradients,
@@ -526,19 +520,6 @@ def phi_gap(trace: list, anchor_name: str = "trunk") -> Optional[float]:
     return float(np.mean(logs)) if logs else None
 
 
-ABLATION_ARMS = ("shared", "independent_heads", "no_pyramid", "mask_75", "proposals_1",
-                 "proposals_8")
-
-_ARM_TO_ABLATION = {
-    "shared": "none",
-    "independent_heads": "independent_heads",
-    "no_pyramid": "no_pyramid",
-    "mask_75": "mask:0.75",
-    "proposals_1": "proposals:1",
-    "proposals_8": "proposals:8",
-}
-
-
 def ablation_suite(base_config: ExperimentConfig, train: bool = False) -> dict:
     """Run every ablation arm with identical seeds; per-arm summaries.
 
@@ -561,7 +542,7 @@ def ablation_suite(base_config: ExperimentConfig, train: bool = False) -> dict:
     runs = {}
     results = {}
     for arm in ABLATION_ARMS:
-        cfg = replace(base_config, ablation=_ARM_TO_ABLATION[arm])
+        cfg = replace(base_config, ablation=arm)
         key = cfg.model_config()
         if key not in runs:
             runs[key] = runner(cfg).summary

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -226,28 +225,24 @@ class SyntheticModel:
         c = self.config
         return c.levels * c.proposals * c.output_dim
 
-    def draws_noise(self, mask_fraction: Optional[float] = None) -> bool:
+    def draws_noise(self) -> bool:
         """Whether draw_noise draws anything (a keep-mask or feature jitter),
         so whether its mask_seed is used at all."""
-        p = self.config.mask_fraction if mask_fraction is None else mask_fraction
-        return p > 0.0 or self.config.proposal_noise_std > 0.0
+        return self.config.mask_fraction > 0.0 or self.config.proposal_noise_std > 0.0
 
-    def draw_noise(self, mask_seed: int, batch: int, mask_fraction: Optional[float] = None):
+    def draw_noise(self, mask_seed: int, batch: int):
         """Per-iteration randomness: boolean keep-masks [batch, E] (or None when
         nothing is masked) and head-input noise [levels, K, batch, head_in]
         (or None when the jitter std is 0). Row j belongs to batch position
         j, so slicing rows yields the exact randomness of a sub-batch."""
-        c = self.config
-        p = c.mask_fraction if mask_fraction is None else mask_fraction
-        if not 0.0 <= p < 1.0:
-            raise ConfigError(f"mask_fraction must lie in [0, 1), got {p}")
-        if not self.draws_noise(p):
+        if not self.draws_noise():
             return None, None
+        c = self.config
         rng = np.random.default_rng(np.random.SeedSequence([int(mask_seed) & 0xFFFFFFFF]))
         masks = None
-        if p > 0.0:
+        if c.mask_fraction > 0.0:
             e = self.elements_per_sample
-            kept = max(1, int(np.floor((1.0 - p) * e)))
+            kept = max(1, int(np.floor((1.0 - c.mask_fraction) * e)))
             order = np.argsort(rng.random((batch, e)), axis=1)
             masks = np.zeros((batch, e), dtype=bool)
             np.put_along_axis(masks, order[:, :kept], True, axis=1)
@@ -319,27 +314,11 @@ class SyntheticModel:
             acc = add(acc, multiply(se, Tensor(n / total)))
         return acc
 
-    def loss(self, inputs, targets, mask_seed: int,
-             mask_fraction: Optional[float] = None) -> Tensor:
+    def loss(self, inputs, targets, mask_seed: int) -> Tensor:
         """Scalar MSE over the kept output elements of every branch evaluation."""
         batch = np.asarray(inputs).shape[0]
-        masks, noise = self.draw_noise(mask_seed, batch, mask_fraction)
+        masks, noise = self.draw_noise(mask_seed, batch)
         return self.loss_given_noise(inputs, targets, masks, noise)
-
-
-def build_model(config: ModelConfig, seed: int):
-    """Construct a model; returns (parameters, partition, forward closure).
-
-    The closure maps (inputs, targets, mask_seed) to the scalar loss.
-    """
-    model = SyntheticModel(config, seed)
-    return model.params, model.partition, model.loss
-
-
-def forward_loss(model: SyntheticModel, inputs, targets,
-                 mask_fraction: float, mask_seed: int) -> Tensor:
-    """Loss with an explicit mask fraction overriding the model config."""
-    return model.loss(inputs, targets, mask_seed, mask_fraction=mask_fraction)
 
 
 class TwoBlockLinearModel:
@@ -363,7 +342,7 @@ class TwoBlockLinearModel:
             anchor_index=0,
         )
 
-    def draw_noise(self, mask_seed, batch, mask_fraction=None):
+    def draw_noise(self, mask_seed, batch):
         return None, None
 
     def loss_given_noise(self, inputs, targets, masks, noise) -> Tensor:
@@ -372,7 +351,7 @@ class TwoBlockLinearModel:
         t = targets if isinstance(targets, Tensor) else Tensor(targets)
         return squared_error(matmul(matmul(x, self.params[0]), self.params[1]), t)
 
-    def loss(self, inputs, targets, mask_seed: int, mask_fraction=None) -> Tensor:
+    def loss(self, inputs, targets, mask_seed: int) -> Tensor:
         return self.loss_given_noise(inputs, targets, None, None)
 
 

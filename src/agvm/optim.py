@@ -93,11 +93,6 @@ def force_unit_mu(mod: Modulator):
     mod.pinned = True
 
 
-def enable_modulation(mod: Modulator):
-    """Re-enable updates; the next step with t % tau == 0 refreshes mu."""
-    mod.pinned = False
-
-
 class _ModulatedOptimizer:
     def __init__(self, partition: ModulePartition, modulator: Optional[Modulator]):
         self.partition = partition

@@ -1,15 +1,15 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 The operation set is the smallest one that supports the synthetic model
-suite: matmul, add, multiply, relu, mean, reduce_sum, squared_error and
-masked_select. Elementwise binaries take equal shapes, broadcast one side
-over a single leading batch dimension (``[b, d] op [d]``), or repeat a 2-D
-``[r, d]`` side over the K >= 2 row blocks of a ``[K*r, d]`` side (output
-row ``k*r + j`` uses row j of the repeated side, whose gradient is the sum
-of the K blocks). Anything richer raises ShapeError.
+suite: matmul, add, multiply, relu, squared_error and masked_select.
+Elementwise binaries take equal shapes, broadcast one side over a single
+leading batch dimension (``[b, d] op [d]``), or repeat a 2-D ``[r, d]``
+side over the K >= 2 row blocks of a ``[K*r, d]`` side (output row
+``k*r + j`` uses row j of the repeated side, whose gradient is the sum of
+the K blocks). Anything richer raises ShapeError.
 
 Graph recording is thread-local: the first recorded operation on a thread
-opens a fresh tape, later operations append to it, and a backward pass
+opens a fresh tape, later operations append to it, and a reverse pass
 consumes it. A forward pass starts with ``new_graph()``, which drops a tape
 whose loss never reached a reverse pass, so an abandoned graph is neither
 kept alive nor walked by the next one. Distinct threads therefore build
@@ -34,16 +34,14 @@ weight costs no kernel. An equal-shape add passes its incoming gradient
 through uncopied, so one array can reach several tensors; the reverse pass
 adds contributions to non-leaf tensors out of place.
 
-Requested gradients are packed. ``gradients(loss, wrt, row_groups)`` lays
-the ``wrt`` tensors out side by side in one preallocated buffer, ``[total]``
-or ``[k, total]``, and the reverse pass writes each leaf's first
-contribution straight into its slot (a matmul or axis-0 sum with ``out=``)
-and adds later ones in place; only slots that no path reached are zeroed.
-The result is a list of slot views with the buffer as ``.packed``, so a
-caller that wants one flat gradient vector (or the [k, total] row groups)
-takes it without a concatenation or a copy. ``backward`` routes the leaves
-it finds through the same slots, and copies a non-leaf array it has
-already handed out, so no two returned gradients share memory.
+``gradients(loss, wrt, row_groups)`` is the one reverse pass, and every
+``wrt`` tensor must be a leaf. It lays the ``wrt`` tensors out side by side
+in one preallocated buffer, ``[total]`` or ``[k, total]``, and writes each
+leaf's first contribution straight into its slot (a matmul or axis-0 sum
+with ``out=``) and adds later ones in place; only slots that no path
+reached are zeroed. The result is a list of slot views with the buffer as
+``.packed``, so a caller that wants one flat gradient vector (or the
+[k, total] row groups) takes it without a concatenation or a copy.
 
 relu is ``np.fmax(x, 0.0)`` followed by an in-place ``+= 0.0``, which gives
 the same bits as ``np.where(x > 0, x, 0.0)`` at lower cost: fmax maps NaN
@@ -73,7 +71,7 @@ class Tape:
 
     Records (out, inputs, pull, tracked) are appended in execution order, so
     walking them in reverse visits the graph in reverse topological order.
-    A tape is consumed by exactly one backward pass; reuse raises TapeError.
+    A tape is consumed by exactly one reverse pass; reuse raises TapeError.
     """
 
     __slots__ = ("_records", "consumed")
@@ -121,19 +119,16 @@ class no_grad:
 class Tensor:
     """Dense row-major float64 array with optional gradient tracking.
 
-    ``data`` is always flat; ``shape`` carries the logical extents. ``grad``
-    is allocated (flat, same length) by a backward pass for every tensor
-    with requires_grad=True.
+    ``data`` is always flat; ``shape`` carries the logical extents.
     """
 
-    __slots__ = ("shape", "data", "requires_grad", "grad", "tape")
+    __slots__ = ("shape", "data", "requires_grad", "tape")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
         self.shape = tuple(arr.shape)
         self.data = np.ascontiguousarray(arr).reshape(-1)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self.tape = None
 
     @classmethod
@@ -142,7 +137,6 @@ class Tensor:
         t.shape = shape
         t.data = flat
         t.requires_grad = False
-        t.grad = None
         t.tape = None
         return t
 
@@ -158,12 +152,6 @@ class Tensor:
     def value(self) -> np.ndarray:
         """The data viewed at its logical shape."""
         return self.data.reshape(self.shape)
-
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -360,28 +348,6 @@ def relu(a: Tensor) -> Tensor:
     return _emit(out.reshape(a.shape), (a,), pull)
 
 
-def mean(a: Tensor) -> Tensor:
-    """Mean over all elements, producing a scalar."""
-    n = a.size
-    out = np.asarray(a.data.mean())
-
-    def pull(g, tracked):
-        return (np.full(n, g[0] / n),)
-
-    return _emit(out, (a,), pull)
-
-
-def reduce_sum(a: Tensor) -> Tensor:
-    """Sum over all elements, producing a scalar."""
-    n = a.size
-    out = np.asarray(a.data.sum())
-
-    def pull(g, tracked):
-        return (np.full(n, g[0]),)
-
-    return _emit(out, (a,), pull)
-
-
 def squared_error(pred: Tensor, target: Tensor) -> Tensor:
     """Mean of elementwise squared differences, producing a scalar."""
     if pred.shape != target.shape:
@@ -428,33 +394,32 @@ def masked_select(a: Tensor, mask) -> Tensor:
     return _emit(kept, (a,), pull)
 
 
-def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0):
+def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0) -> set:
     """Reverse pass over tape records.
 
     ``slots`` maps id(leaf) to the array that leaf's gradient is written
     into: flat [size], or [k, size] with ``row_groups`` = k > 0, row g
     summing the contributions of batch rows g, g+k, g+2k, ... A leaf's first
     contribution is written straight into its slot and later ones are added
-    in place; leaves without a slot are skipped. Returns ({id(tensor):
-    (tensor, grad)} for the non-leaf tensors reached, the set of ids of the
-    slotted leaves reached). One array may be the gradient of several
-    non-leaf tensors (an add passes its gradient through); callers copy
-    before handing out.
+    in place; leaves without a slot are skipped. Non-leaf contributions are
+    added out of place, since one array may be the gradient of several
+    tensors (an add passes its gradient through). Returns the set of ids of
+    the slotted leaves reached.
     """
-    grads = {id(loss): (loss, np.ones(1))}
+    grads = {id(loss): np.ones(1)}
     reached = set()
     for out, inputs, pull, tracked in reversed(records):
         got = grads.get(id(out))
         if got is None:
             continue
-        for x, gx in zip(inputs, pull(got[1], tracked)):
+        for x, gx in zip(inputs, pull(got, tracked)):
             if gx is None:
                 continue
             if x.tape is not None:
                 if type(gx) is _RowSum:
                     gx = gx.total()
                 cur = grads.get(id(x))
-                grads[id(x)] = (x, gx if cur is None else cur[1] + gx)
+                grads[id(x)] = gx if cur is None else cur + gx
                 continue
             slot = slots.get(id(x))
             if slot is None:
@@ -474,7 +439,7 @@ def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0):
                 if gx is not slot:
                     np.copyto(slot, gx)
                 reached.add(id(x))
-    return grads, reached
+    return reached
 
 
 class Gradients(list):
@@ -484,48 +449,6 @@ class Gradients(list):
     __slots__ = ("packed",)
 
 
-def _packed_pass(records: list, loss: Tensor, wrt: Sequence[Tensor], k: int):
-    """One reverse pass writing the gradients of ``wrt`` into one packed
-    buffer, [total] or [k, total], the tensors laid out side by side in
-    ``wrt`` order. Slots no path reached are zeroed; a leaf's repeated slot
-    copies its first one, and a non-leaf's slot is copied in after the walk.
-    Returns (Gradients, non-leaf gradients, ids of the leaves reached)."""
-    total = sum(p.size for p in wrt)
-    packed = np.empty((k, total) if k else total)
-    out = Gradients()
-    out.packed = packed
-    slots = {}
-    end = 0
-    for p in wrt:
-        start, end = end, end + p.size
-        slot = packed[:, start:end] if k else packed[start:end]
-        out.append(slot)
-        if p.tape is None:
-            slots.setdefault(id(p), slot)
-    grads, reached = _walk(records, loss, slots, k)
-    if len(reached) == len(wrt):
-        return out, grads, reached      # distinct leaves, all reached
-    for p, slot in zip(wrt, out):
-        if id(p) in reached:
-            src = slots[id(p)]
-        else:
-            got = grads.get(id(p))
-            src = None if got is None else got[1]
-        if src is None:
-            slot.fill(0.0)
-        elif src is not slot:
-            np.copyto(slot, src)
-    return out, grads, reached
-
-
-def _unshared(grad: np.ndarray, handed: set) -> np.ndarray:
-    """``grad``, or a copy if that array was already handed out."""
-    if id(grad) in handed:
-        return grad.copy()
-    handed.add(id(grad))
-    return grad
-
-
 def _consume(loss: Tensor) -> list:
     """Mark the loss's tape consumed and take its records out of it.
 
@@ -533,12 +456,12 @@ def _consume(loss: Tensor) -> list:
     freed here, at the start of the next reverse pass (see module docstring).
     """
     if loss.shape != ():
-        raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+        raise ShapeError(f"gradients: loss must be scalar, got shape {loss.shape}")
     tape = loss.tape
     if tape is None:
-        raise TapeError("backward: loss is not attached to a tape (no tracked inputs)")
+        raise TapeError("gradients: loss is not attached to a tape (no tracked inputs)")
     if tape.consumed:
-        raise TapeError("backward: tape already consumed by a previous backward pass "
+        raise TapeError("gradients: tape already consumed by a previous reverse pass "
                         "or dropped by new_graph")
     tape.consumed = True
     if _LOCAL.tape is tape:
@@ -565,29 +488,8 @@ def new_graph():
     _LOCAL.tape = None
 
 
-def backward(loss: Tensor):
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
-
-    Leaf gradients accumulate across calls (use zero_grad between passes
-    when fresh gradients are needed). The leaves go through the same packed
-    pass as ``gradients``, so a fresh leaf ``grad`` is a view of its slot.
-    Consumes the tape.
-    """
-    records = _consume(loss)
-    leaves = list({id(x): x for _, inputs, _, tracked in records
-                   for x, on in zip(inputs, tracked) if on and x.tape is None}.values())
-    got, grads, reached = _packed_pass(records, loss, leaves, 0)
-    for x, g in zip(leaves, got):
-        if id(x) in reached:
-            x.grad = g if x.grad is None else x.grad + g
-    handed = set()
-    for t, g in grads.values():
-        if t.requires_grad:
-            t.grad = _unshared(g, handed) if t.grad is None else t.grad + g
-
-
 def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = None) -> Gradients:
-    """Gradients of ``loss`` w.r.t. ``wrt`` without touching any ``.grad`` field.
+    """Gradients of the scalar ``loss`` w.r.t. the leaf tensors ``wrt``.
 
     One reverse pass writes every gradient into its slot of one packed
     buffer, the ``wrt`` tensors laid out side by side in order: ``[total]``
@@ -597,14 +499,14 @@ def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = N
     caller that wants one flat vector takes ``.packed`` with no concatenation.
     No two entries share memory: a tensor listed twice gets two equal slots.
     Thread-safe against other graphs sharing the same leaves; missing paths
-    yield zeros. Consumes the tape like backward.
+    yield zeros. Consumes the tape; a non-leaf ``wrt`` raises TapeError.
 
     With ``row_groups`` = k, row g of every gradient is the part contributed
     by batch rows g, g+k, g+2k, ..., and the rows sum to the plain gradient.
     The split happens where a leaf's pull sums over the batch axis (matmul's
     right operand, the bias of a broadcast add), so every ``wrt`` tensor
-    must be a leaf reached only through such pulls, with a leading batch
-    dimension divisible by k; otherwise this raises TapeError or ShapeError.
+    must be reached only through such pulls, with a leading batch dimension
+    divisible by k; otherwise this raises TapeError or ShapeError.
     When the loss is a mean over b samples that each contribute equally many
     elements, k = 2 gives half-batch mean gradients as 2 * row g and k = b
     gives per-sample gradients as b * row g.
@@ -614,10 +516,29 @@ def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = N
         k = int(row_groups)
         if k < 1:
             raise ValueError(f"gradients: row_groups must be >= 1, got {row_groups}")
-        if any(p.tape is not None for p in wrt):
-            raise TapeError("gradients: row_groups splits leaf gradients only; "
-                            "every wrt tensor must be a leaf")
-    return _packed_pass(_consume(loss), loss, wrt, k)[0]
+    if any(p.tape is not None for p in wrt):
+        raise TapeError("gradients: every wrt tensor must be a leaf")
+    records = _consume(loss)
+    total = sum(p.size for p in wrt)
+    packed = np.empty((k, total) if k else total)
+    out = Gradients()
+    out.packed = packed
+    slots = {}
+    end = 0
+    for p in wrt:
+        start, end = end, end + p.size
+        slot = packed[:, start:end] if k else packed[start:end]
+        out.append(slot)
+        slots.setdefault(id(p), slot)
+    reached = _walk(records, loss, slots, k)
+    if len(reached) < len(wrt):
+        # unreached leaves get zeros; a repeated leaf copies its first slot
+        for p, slot in zip(wrt, out):
+            if id(p) not in reached:
+                slot.fill(0.0)
+            elif slots[id(p)] is not slot:
+                np.copyto(slot, slots[id(p)])
+    return out
 
 
 def pack_params(params: Sequence[Tensor]) -> np.ndarray:
@@ -633,11 +554,6 @@ def load_params(params: Sequence[Tensor], flat: np.ndarray):
         offset += p.size
     if offset != flat.size:
         raise ShapeError(f"load_params: vector length {flat.size} != total parameter size {offset}")
-
-
-def zero_grads(params: Sequence[Tensor]):
-    for p in params:
-        p.grad = None
 
 
 def grad_check(model: Callable[[], Tensor], params: Sequence[Tensor],

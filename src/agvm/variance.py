@@ -46,8 +46,9 @@ class GroupedGradients:
     b: int
 
     @classmethod
-    def from_flat(cls, g1_flat: np.ndarray, g2_flat: np.ndarray, g_flat: np.ndarray,
-                  partition: ModulePartition, b: int) -> "GroupedGradients":
+    def from_half_means(cls, g1_flat: np.ndarray, g2_flat: np.ndarray, g_flat: np.ndarray,
+                        partition: ModulePartition, b: int) -> "GroupedGradients":
+        """Split the flat half-batch means and the full mean g by module."""
         idx = partition.flat_indices()
         names = partition.names
         return cls(
@@ -57,12 +58,6 @@ class GroupedGradients:
             g={n: g_flat[idx[n]] for n in names},
             b=b,
         )
-
-    @classmethod
-    def from_half_means(cls, g1_flat: np.ndarray, g2_flat: np.ndarray,
-                        partition: ModulePartition, b: int) -> "GroupedGradients":
-        """Build from two half-batch mean gradients; g = (g1 + g2) / 2."""
-        return cls.from_flat(g1_flat, g2_flat, (g1_flat + g2_flat) / 2.0, partition, b)
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,7 @@ def split_groups(per_sample_grads, partition: ModulePartition) -> GroupedGradien
     g1 = arr[0::2].mean(axis=0)
     g2 = arr[1::2].mean(axis=0)
     g = arr.mean(axis=0)
-    return GroupedGradients.from_flat(g1, g2, g, partition, b)
+    return GroupedGradients.from_half_means(g1, g2, g, partition, b)
 
 
 def _squared_norm(x: np.ndarray):
@@ -159,8 +154,7 @@ def full_variance_estimate(groups: GroupedGradients, n: int, eta: float) -> np.n
     return factor * est.phi * norms / dims
 
 
-def per_sample_gradients(model, inputs, targets, mask_seed: int,
-                         mask_fraction=None) -> np.ndarray:
+def per_sample_gradients(model, inputs, targets, mask_seed: int) -> np.ndarray:
     """[batch, d] per-sample flat gradients from one whole-batch backward pass.
 
     The pass splits every parameter gradient into one row group per sample
@@ -176,7 +170,7 @@ def per_sample_gradients(model, inputs, targets, mask_seed: int,
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     batch = inputs.shape[0]
-    masks, noise = model.draw_noise(mask_seed, batch, mask_fraction)
+    masks, noise = model.draw_noise(mask_seed, batch)
     loss = model.loss_given_noise(inputs, targets, masks, noise)
     per_sample = gradients(loss, model.params, row_groups=batch).packed
     per_sample *= batch

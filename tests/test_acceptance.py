@@ -149,7 +149,7 @@ def test_05_clip_and_anchor_invariants():
                                  rng.normal(0, 1, 4) * scale_head])
             g2 = np.concatenate([rng.normal(0, 1, 4) * scale_trunk,
                                  rng.normal(0, 1, 4) * scale_head])
-            groups = GroupedGradients.from_half_means(g1, g2, part, b=8)
+            groups = GroupedGradients.from_half_means(g1, g2, (g1 + g2) / 2.0, part, b=8)
             opt.step(w, rng.normal(0, 1, 8), eta=1e-4, groups=groups)
             assert np.all(mod.mu >= 0.1) and np.all(mod.mu <= 10.0), step
             assert mod.mu[0] == 1.0, step

@@ -81,6 +81,8 @@ class TestInvalidValues:
         ["--optimizer=adamw", "--beta2=1.0"], ["--batch_size=abc"], ["--n_samples=1e3"],
         ["--trunk_widths=32,x"], ["--base_lr=-1"], ["--base_lr=inf"], ["--noise_std=nan"],
         ["--decay_factor=nan"], ["--seed=-1"], ["--base_batch=0"], ["--ablation=mask:abc"],
+        # a valid config whose dataset cannot be allocated: numpy's MemoryError
+        ["--input_dim=100000000000"],
     ])
     def test_exit_1_with_an_error_line_and_no_traceback(self, flags, capsys, monkeypatch):
         monkeypatch.delenv("AGVM_SEED", raising=False)
@@ -121,6 +123,13 @@ class TestOtherCommands:
         for arm in ("[shared]", "[independent_heads]", "[no_pyramid]", "[mask_75]",
                     "[proposals_1]", "[proposals_8]"):
             assert arm in out
+
+    def test_ablate_has_no_out_dir_flag(self, capsys, monkeypatch):
+        monkeypatch.delenv("AGVM_SEED", raising=False)
+        code, out, err = run_main(["ablate", "--out-dir=x"] + FAST_ARGS, capsys)
+        assert code == 1
+        assert err.startswith("error: unknown config key")
+        assert out == ""
 
 
 class TestEntryPoint:

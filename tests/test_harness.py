@@ -125,9 +125,19 @@ class TestConfig:
         assert ExperimentConfig(tau=7).effective_tau() == 7
 
     def test_ablation_field_spellings(self):
-        assert ExperimentConfig(ablation="mask:0.5").model_config().mask_fraction == 0.5
-        assert ExperimentConfig(ablation="proposals:4").model_config().proposals == 4
+        assert ExperimentConfig(ablation="mask_75").model_config().mask_fraction == 0.75
         assert ExperimentConfig(ablation="no_pyramid").model_config().pyramid is False
+        assert ExperimentConfig(ablation="shared").model_config() == \
+            ExperimentConfig().model_config()
+        # the proposal arms always jitter: the base std, or 0.25 without one
+        eight = ExperimentConfig(ablation="proposals_8").model_config()
+        assert (eight.proposals, eight.proposal_noise_std) == (8, 0.25)
+        one = ExperimentConfig(ablation="proposals_1", proposal_noise_std=2.0).model_config()
+        assert (one.proposals, one.proposal_noise_std) == (1, 2.0)
+        # the fields themselves are keys; "mask" and "mask:<f>" are not arms
+        for spelling in ("mask", "proposals", "mask:0.5", "proposals:4"):
+            with pytest.raises(ConfigError, match="expected 'none' or one of shared"):
+                ExperimentConfig(ablation=spelling).validate()
 
 
 # (key, value, text the ConfigError must contain); each value once ended in
@@ -148,6 +158,8 @@ INVALID_VALUES = [
     ("ablation", "mask:abc", "mask:abc"), ("ablation", "proposals:1e3", "proposals:1e3"),
     ("proposal_noise_std", "nan", "proposal_noise_std"),
     ("levels", "100000000000", "levels"),
+    ("poly_power", "-2", "poly_power"), ("weight_decay", "-1e-4", "weight_decay"),
+    ("milestones", "100,-5", "milestones"), ("ablation", "mask", "proposals_8"),
 ]
 
 
@@ -312,7 +324,7 @@ class TestAblationSuite:
         with pytest.raises(ConfigError, match="shared-head pyramid"):
             ablation_suite(ExperimentConfig(**{**FAST, "pyramid": False, "levels": 1}))
         with pytest.raises(ConfigError, match="ablation=none"):
-            ablation_suite(ExperimentConfig(**FAST, ablation="mask:0.5"))
+            ablation_suite(ExperimentConfig(**FAST, ablation="mask_75"))
 
     def test_shared_arm_is_the_observed_baseline(self):
         # the default suite observes frozen parameters, so the shared arm
@@ -392,8 +404,11 @@ class TestMaskSeed:
         run_experiment(ExperimentConfig(**FAST))
         assert calls == []
 
-    @pytest.mark.parametrize("ablation", ["mask:0.5", "proposals:3"])
-    def test_drawn_randomness_is_unchanged(self, monkeypatch, ablation):
+    @pytest.mark.parametrize("arm", [
+        pytest.param(dict(mask_fraction=0.5), id="mask:0.5"),
+        pytest.param(dict(proposals=3, proposal_noise_std=0.25), id="proposals:3"),
+    ])
+    def test_drawn_randomness_is_unchanged(self, monkeypatch, arm):
         calls = []
         real = harness._mask_seed
 
@@ -402,7 +417,7 @@ class TestMaskSeed:
             return real(seed, t)
 
         monkeypatch.setattr(harness, "_mask_seed", counted)
-        runner = harness._Runner(ExperimentConfig(**FAST, ablation=ablation))
+        runner = harness._Runner(ExperimentConfig(**FAST, **arm))
         for t in (0, 3):
             idx = runner.draw_batch()
             got = runner.forward(idx, t).data[0]
@@ -414,15 +429,18 @@ class TestMaskSeed:
 
 
 class TestGroupedPass:
-    @pytest.mark.parametrize("ablation", ["none", "mask:0.75", "proposals:8",
-                                          "independent_heads"])
-    def test_pair_groups_equal_two_half_passes(self, ablation):
+    @pytest.mark.parametrize("arm", [
+        pytest.param({}, id="none"),
+        pytest.param(dict(mask_fraction=0.75), id="mask:0.75"),
+        pytest.param(dict(proposals=8, proposal_noise_std=0.25), id="proposals:8"),
+        pytest.param(dict(head_mode="independent"), id="independent_heads"),
+    ])
+    def test_pair_groups_equal_two_half_passes(self, arm):
         # bit-exact at the default model sizes, where OpenBLAS rounds each
         # row of a product alike whatever the row count; at some widths
         # ([256, 32] @ [32, 8]) it does not, and the halves then differ from
         # the whole batch in the last bit
-        runner = harness._Runner(ExperimentConfig(batch_size=64, n_samples=256,
-                                                  ablation=ablation))
+        runner = harness._Runner(ExperimentConfig(batch_size=64, n_samples=256, **arm))
         idx = {n: runner.partition.flat_indices()[n] for n in runner.partition.names}
         for t in (0, 5):
             batch = runner.draw_batch()

@@ -1,12 +1,12 @@
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import agvm.models
 from agvm.models import (ConfigError, ModelConfig, ModulePartition,
-                         SyntheticModel, TwoBlockLinearModel, build_model,
-                         forward_loss, make_dataset)
+                         SyntheticModel, TwoBlockLinearModel, make_dataset)
 from agvm.tensor import (Tensor, add, gradients, masked_select, matmul, multiply,
                          pack_params, relu, squared_error)
 from agvm.variance import per_sample_gradients, phi_estimate, split_groups
@@ -40,26 +40,26 @@ def plain_mse(model, inputs, targets):
 class TestPartition:
     def test_shared_mode_has_three_modules(self):
         cfg = ModelConfig(levels=3, head_mode="shared", pyramid=True, trunk_widths=(32,))
-        _, partition, _ = build_model(cfg, seed=0)
+        partition = SyntheticModel(cfg, seed=0).partition
         assert partition.h == 3
         assert partition.names == ("trunk", "pyramid", "head")
         assert partition.anchor_name == "trunk"
 
     def test_independent_mode_has_per_level_heads(self):
         cfg = ModelConfig(levels=3, head_mode="independent", trunk_widths=(32,))
-        _, partition, _ = build_model(cfg, seed=0)
+        partition = SyntheticModel(cfg, seed=0).partition
         assert partition.h == 5
         assert partition.names == ("trunk", "pyramid", "head_1", "head_2", "head_3")
 
     def test_no_pyramid_mode(self):
         cfg = ModelConfig(levels=1, pyramid=False)
-        _, partition, _ = build_model(cfg, seed=0)
+        partition = SyntheticModel(cfg, seed=0).partition
         assert partition.names == ("trunk", "head")
 
     def test_same_seed_same_parameters(self):
         cfg = ModelConfig()
-        p1, _, _ = build_model(cfg, seed=9)
-        p2, _, _ = build_model(cfg, seed=9)
+        p1 = SyntheticModel(cfg, seed=9).params
+        p2 = SyntheticModel(cfg, seed=9).params
         assert np.array_equal(pack_params(p1), pack_params(p2))
 
     def test_trunk_identical_across_head_modes(self):
@@ -161,13 +161,13 @@ class TestForwardLoss:
                 h = np.maximum(0.0, h @ w.value + b.value)
             pred = np.maximum(0.0, h @ w1.value + b1.value) @ w2.value + b2.value
         assert model.loss(x, pred, mask_seed=11).data[0] == 0.0
-        assert model.loss(x, pred, mask_seed=11, mask_fraction=0.6).data[0] == 0.0
+        masked = SyntheticModel(replace(cfg, mask_fraction=0.6), seed=2)
+        assert masked.loss(x, pred, mask_seed=11).data[0] == 0.0
 
-    def test_forward_loss_overrides_fraction(self):
-        model = SyntheticModel(ModelConfig(mask_fraction=0.0), seed=3)
+    def test_mask_fraction_changes_the_loss(self):
         x, y = make_dataset(6, 32, 4, 0.1, 5)
-        full = forward_loss(model, x, y, mask_fraction=0.0, mask_seed=2).data[0]
-        masked = forward_loss(model, x, y, mask_fraction=0.75, mask_seed=2).data[0]
+        full, masked = (SyntheticModel(ModelConfig(mask_fraction=p), seed=3)
+                        .loss(x, y, mask_seed=2).data[0] for p in (0.0, 0.75))
         assert full != masked
 
     def test_batch_mismatch_rejected(self):
@@ -177,9 +177,9 @@ class TestForwardLoss:
             model.loss(x[:4], y[:5], mask_seed=0)
 
     def test_masking_reduces_loss_terms_exactly(self):
-        cfg = ModelConfig(levels=4, output_dim=4, trunk_widths=(32,))
+        cfg = ModelConfig(levels=4, output_dim=4, trunk_widths=(32,), mask_fraction=0.5)
         model = SyntheticModel(cfg, seed=5)
-        masks, _ = model.draw_noise(mask_seed=9, batch=32, mask_fraction=0.5)
+        masks, _ = model.draw_noise(mask_seed=9, batch=32)
         kept = masks.sum()
         assert kept == 32 * max(1, int(np.floor(0.5 * model.elements_per_sample)))
 
@@ -206,8 +206,6 @@ class TestForwardLoss:
         model = SyntheticModel(ModelConfig(), seed=0)
         monkeypatch.setattr(agvm.models.np.random, "default_rng", no_rng)
         assert model.draw_noise(5, 8) == (None, None)
-        with pytest.raises(ConfigError, match="mask_fraction"):
-            model.draw_noise(5, 8, mask_fraction=1.0)
 
     def test_noise_off_by_default(self):
         model = SyntheticModel(ModelConfig(proposals=3), seed=0)

@@ -5,8 +5,8 @@ import pytest
 
 from agvm.models import ModulePartition
 from agvm.optim import (AgvmAdamW, AgvmSgd, Modulator, OptimizerError,
-                        compute_mu, enable_modulation, force_unit_mu,
-                        load_checkpoint, save_checkpoint, smooth_mu)
+                        compute_mu, force_unit_mu, load_checkpoint,
+                        save_checkpoint, smooth_mu)
 from agvm.variance import GroupedGradients
 
 
@@ -16,8 +16,8 @@ def two_module_partition(sizes=(3, 2)):
 
 
 def groups_from(g1, g2, partition, b=4):
-    return GroupedGradients.from_half_means(np.asarray(g1, float),
-                                            np.asarray(g2, float), partition, b)
+    g1, g2 = np.asarray(g1, float), np.asarray(g2, float)
+    return GroupedGradients.from_half_means(g1, g2, (g1 + g2) / 2.0, partition, b)
 
 
 def reference_adamw_step(w, grad, m, v, t, lr, beta1, beta2, eps, lam):
@@ -294,7 +294,7 @@ class TestBaselineReduction:
         for _ in range(7):
             run_step()
         assert np.array_equal(mod.mu, [1.0, 1.0])
-        enable_modulation(mod)
+        mod.pinned = False
         run_step()  # t=8
         run_step()  # t=9
         assert np.array_equal(mod.mu, [1.0, 1.0])

@@ -65,11 +65,16 @@ class TestSplitGroups:
                                        rtol=0, atol=1e-12)
 
     def test_from_half_means(self):
-        part = one_module_partition(3)
+        part = ModulePartition(modules=(("trunk", (0,)), ("head", (1,))), param_sizes=(2, 1))
         g1 = np.array([1.0, 2.0, 3.0])
         g2 = np.array([3.0, 2.0, 1.0])
-        groups = GroupedGradients.from_half_means(g1, g2, part, b=6)
-        np.testing.assert_array_equal(groups.g["all"], [2.0, 2.0, 2.0])
+        g = np.array([2.0, 2.0, 2.0])
+        groups = GroupedGradients.from_half_means(g1, g2, g, part, b=6)
+        assert groups.names == ("trunk", "head") and groups.b == 6
+        np.testing.assert_array_equal(groups.g1["trunk"], [1.0, 2.0])
+        np.testing.assert_array_equal(groups.g2["head"], [1.0])
+        np.testing.assert_array_equal(groups.g["trunk"], [2.0, 2.0])
+        np.testing.assert_array_equal(groups.g["head"], [2.0])
 
 
 def cosine_reference(a, b, eps_norm=1e-12):
@@ -142,8 +147,8 @@ class TestCosine:
 class TestPhi:
     def build(self, g1, g2, eta):
         part = one_module_partition(len(g1))
-        groups = GroupedGradients.from_half_means(np.asarray(g1, dtype=float),
-                                                  np.asarray(g2, dtype=float), part, b=2)
+        g1, g2 = np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
+        groups = GroupedGradients.from_half_means(g1, g2, (g1 + g2) / 2.0, part, b=2)
         return phi_estimate(groups, eta=eta)
 
     def test_identical_halves_zero(self):
