@@ -14,8 +14,9 @@ from .variance import (GroupedGradients, GroupingError, PhiEstimate,
                        brute_force_variance_oracle, cosine_similarity,
                        full_variance_estimate, per_sample_gradients,
                        phi_estimate, split_groups)
-from .optim import (AgvmAdamW, AgvmSgd, Modulator, OptimizerError, compute_mu,
-                    force_unit_mu, load_checkpoint, save_checkpoint, smooth_mu)
+from .optim import (AgvmAdamW, AgvmSgd, DivergenceError, Modulator, OptimizerError,
+                    compute_mu, force_unit_mu, load_checkpoint, save_checkpoint,
+                    smooth_mu)
 from .harness import (ExperimentConfig, LrSchedule, RunResult, TraceRow,
                       ablation_suite, emit_csv, load_config, lr_at,
                       oracle_check, phi_gap, read_csv, run_experiment,

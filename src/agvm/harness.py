@@ -23,7 +23,7 @@ import numpy as np
 
 from .models import (ConfigError, ModelConfig, SyntheticModel,
                      TwoBlockLinearModel, make_dataset)
-from .optim import AgvmAdamW, AgvmSgd, Modulator, OptimizerError, force_unit_mu
+from .optim import AgvmAdamW, AgvmSgd, DivergenceError, Modulator, force_unit_mu
 from .tensor import gradients, load_params, pack_params
 from .variance import (GroupedGradients, brute_force_variance_oracle,
                        full_variance_estimate, per_sample_gradients,
@@ -415,13 +415,14 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     """Train per the config; deterministic in (config, seed).
 
     The trace has per-module rows at iteration 0 and every tau iterations
-    thereafter, aligned with modulation events. A non-finite loss or
-    gradient halts the run and flags the summary with status=NaN.
+    thereafter, aligned with modulation events. A non-finite loss, gradient
+    or update halts the run, flags the summary with status=NaN and adds
+    ``diverged_reason``; any other OptimizerError propagates.
     """
     r = _Runner(config)
     cfg = config
     trace = []
-    status, diverged_at = "ok", -1
+    status, diverged_at, reason = "ok", -1, None
     final_loss = math.nan
 
     idx0 = r.draw_batch()
@@ -439,13 +440,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             loss, grad = r.batch_loss_and_grad(idx, t)
             groups = None
         if not math.isfinite(loss):
-            status, diverged_at = "NaN", t
+            status, diverged_at, reason = "NaN", t, f"non-finite loss {loss} at step {t}"
             break
         final_loss = loss
         try:
             r.opt.step(r.w, grad, eta, groups=groups)
-        except OptimizerError:
-            status, diverged_at = "NaN", t
+        except DivergenceError as exc:
+            status, diverged_at, reason = "NaN", t, str(exc)
             break
         load_params(r.model.params, r.w)
         if is_trace:
@@ -454,6 +455,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     summary = summarize(trace, r.partition.names, r.partition.anchor_name)
     summary["status"] = status
     summary["diverged_at"] = diverged_at
+    if reason is not None:
+        summary["diverged_reason"] = reason
     summary["final_loss"] = final_loss
     # the step that diverged never completed
     summary["iterations_run"] = cfg.total_iterations if status == "ok" else diverged_at - 1
@@ -600,7 +603,9 @@ def oracle_check(seed: int = 0, n: Optional[int] = None, b: Optional[int] = None
     """Compare the analytic variance estimate against the brute-force oracle
     on the two-block linear regression benchmark.
 
-    Returns per-module estimates, oracle values and relative errors.
+    Returns per-module estimates, oracle values and relative errors. Raises
+    ConfigError, naming every violated constraint, for a negative seed,
+    fewer than 100 resamples, or a b that is odd or outside [2, n].
     """
     p = dict(BENCHMARK)
     if n is not None:
@@ -609,6 +614,15 @@ def oracle_check(seed: int = 0, n: Optional[int] = None, b: Optional[int] = None
         p["b"] = b
     if resamples is not None:
         p["resamples"] = resamples
+    bad = []
+    if seed < 0:
+        bad.append(f"seed must be >= 0, got {seed}")
+    if p["resamples"] < 100:
+        bad.append(f"resamples must be >= 100, got {p['resamples']}")
+    if not (2 <= p["b"] <= p["n"] and p["b"] % 2 == 0):
+        bad.append(f"b must be even with 2 <= b <= n={p['n']}, got b={p['b']}")
+    if bad:
+        raise ConfigError("invalid oracle check: " + "; ".join(bad))
     model = TwoBlockLinearModel(p["input_dim"], p["hidden_dim"], p["output_dim"],
                                 seed=seed + 1)
     rng = np.random.default_rng(seed + 2)

@@ -26,6 +26,11 @@ class OptimizerError(RuntimeError):
     """A step could not be applied (non-finite input, missing groups, ...)."""
 
 
+class DivergenceError(OptimizerError):
+    """A step met a non-finite gradient or update: the run diverged
+    numerically. The message names the module and the step."""
+
+
 class Modulator:
     """Smoothed, clipped per-module learning-rate multipliers."""
 
@@ -111,7 +116,7 @@ class _ModulatedOptimizer:
             return
         for name in self.partition.names:
             if not np.all(np.isfinite(grad[self._indices[name]])):
-                raise OptimizerError(
+                raise DivergenceError(
                     f"non-finite gradient in module '{name}' at step {self.t}")
 
     def _mu_per_coord(self) -> np.ndarray:
@@ -203,7 +208,7 @@ class AgvmAdamW(_ModulatedOptimizer):
         if not np.all(np.isfinite(update)):
             for name in self.partition.names:
                 if not np.all(np.isfinite(update[self._indices[name]])):
-                    raise OptimizerError(f"non-finite update in module '{name}' at step {self.t}")
+                    raise DivergenceError(f"non-finite update in module '{name}' at step {self.t}")
         w -= update
 
 

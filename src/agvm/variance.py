@@ -26,6 +26,9 @@ from .tensor import ShapeError, gradients
 # x > 1e150.
 _SQUARED_NORM_LIMIT = 1e300
 
+# Byte budget of each of the oracle's [c, n] weight and [c, width] mean buffers.
+_ORACLE_CHUNK_BYTES = 1 << 19
+
 
 class GroupingError(ValueError):
     """The per-sample gradients cannot be split as requested."""
@@ -90,9 +93,14 @@ def split_groups(per_sample_grads, partition: ModulePartition) -> GroupedGradien
     if arr.shape[1] != partition.total_size:
         raise GroupingError(
             f"gradient length {arr.shape[1]} does not match partition size {partition.total_size}")
-    g1 = arr[0::2].mean(axis=0)
-    g2 = arr[1::2].mean(axis=0)
-    g = arr.mean(axis=0)
+    # one pass over the rows: sums[0] adds rows 0, 2, 4, ... and sums[1] rows
+    # 1, 3, 5, ... one after another, as arr[0::2].mean and arr[1::2].mean do
+    # for d >= 2, so the half means are bit-identical to those (numpy sums a
+    # lone strided column pairwise instead)
+    sums = arr.reshape(b // 2, 2, arr.shape[1]).sum(axis=0)
+    g1 = sums[0] / (b // 2)
+    g2 = sums[1] / (b // 2)
+    g = (sums[0] + sums[1]) / b
     return GroupedGradients.from_half_means(g1, g2, g, partition, b)
 
 
@@ -187,6 +195,20 @@ def brute_force_variance_oracle(model, dataset, w, b: int, resamples: int, seed:
     size b (drawn with replacement by default). Independent of the cosine
     estimator by construction.
 
+    The resamples are drawn ``c`` at a time, by the same generator calls in
+    the same order as one at a time. Each resample mean is still formed
+    exactly, as row r of one product ``W @ per_sample`` whose row r is
+    ``bincount(pick_r, minlength=n) / b``. That costs R*n*d multiply-adds
+    through BLAS against R*b*d for gathering the picked rows, and still wins
+    at n/b = 16 (the oracle benchmark) because it streams the [n, d] matrix
+    instead of copying R*b scattered rows. The product is taken in column
+    blocks, so the scratch memory is one [c, n] weight buffer and one
+    [c, width] block of means, each at most 512 KiB (``c`` and ``width``
+    follow from n and d), and each block of ``per_sample`` is packed for BLAS
+    once per ``c`` resamples. The squared deviations are summed over
+    resamples per parameter, and each module's share is taken from that one
+    [d] vector.
+
     ``per_sample`` may pass in the [n, d] result of
     ``per_sample_gradients(model, *dataset, mask_seed)`` at the model's
     current parameters (so ``w`` must be None), to save recomputing it.
@@ -195,6 +217,8 @@ def brute_force_variance_oracle(model, dataset, w, b: int, resamples: int, seed:
     n = np.asarray(inputs).shape[0]
     if b > n:
         raise ValueError(f"batch size b={b} exceeds dataset size n={n}")
+    if b < 1:
+        raise ValueError(f"batch size b={b} must be >= 1")
     if resamples < 100:
         raise ValueError(f"resamples must be >= 100, got {resamples}")
     if per_sample is None:
@@ -210,17 +234,30 @@ def brute_force_variance_oracle(model, dataset, w, b: int, resamples: int, seed:
                          f"{(n, model.partition.total_size)}")
     grad_full = per_sample.mean(axis=0)
 
-    idx = model.partition.flat_indices()
-    names = model.partition.names
     rng = np.random.default_rng(seed)
-    acc = np.zeros(len(names))
-    for _ in range(resamples):
-        if replace:
-            pick = rng.integers(0, n, size=b)
-        else:
-            pick = rng.permutation(n)[:b]
-        g = per_sample[pick].mean(axis=0)
-        diff = g - grad_full
-        acc += np.array([np.dot(diff[idx[m]], diff[idx[m]]) / max(1, idx[m].size)
-                         for m in names])
-    return acc / resamples
+    d = per_sample.shape[1]
+    c = min(resamples, max(1, _ORACLE_CHUNK_BYTES // (8 * n)))
+    width = max(1, min(d, _ORACLE_CHUNK_BYTES // (8 * c)))
+    weights = np.empty((c, n))
+    buf = np.empty(c * width)
+    sq_dev = np.zeros(d)    # per parameter: sum over resamples of (mean - grad_full)^2
+    for start in range(0, resamples, c):
+        m = min(c, resamples - start)
+        for r in range(m):
+            pick = rng.integers(0, n, size=b) if replace else rng.permutation(n)[:b]
+            weights[r] = np.bincount(pick, minlength=n)
+        weights[:m] /= b
+        for lo in range(0, d, width):
+            hi = min(d, lo + width)
+            dev = buf[:m * (hi - lo)].reshape(m, hi - lo)
+            np.matmul(weights[:m], per_sample[:, lo:hi], out=dev)
+            dev -= grad_full[lo:hi]
+            np.square(dev, out=dev)
+            sq_dev[lo:hi] += dev.sum(axis=0)
+
+    # each module's share, from its parameters' contiguous slices of sq_dev
+    part = model.partition
+    ends = np.cumsum(part.param_sizes, dtype=np.intp)
+    param_sq = [sq_dev[end - size:end].sum() for size, end in zip(part.param_sizes, ends)]
+    return np.array([sum(param_sq[i] for i in ids) / max(1, sum(part.param_sizes[i] for i in ids))
+                     for _, ids in part.modules]) / resamples

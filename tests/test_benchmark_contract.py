@@ -1,30 +1,48 @@
 """What the benchmark (perfbench/) requires of the package, checked in tier-1.
 
 perfbench/tracing.py wraps agvm functions by the names their callers look
-them up by, and perfbench/selfcheck.py expects 52 tape ops per forward of
-the default model. A change that renames or deletes one of those names, or
-changes the graph, fails here instead of only in a benchmark run. The
-tracing module is loaded by its file path; perfbench/ is not a package.
+them up by, perfbench/selfcheck.py expects 52 tape ops per forward of the
+default model, and perfbench/workloads.py lists the spans each workload must
+record. A change that renames or deletes one of those names, changes the
+graph, or takes a shortcut past a required span fails here instead of only
+in a benchmark run. The perfbench modules are loaded by their file paths;
+perfbench/ is not a package.
 """
 
 import importlib.util
 import os
+import sys
 
 import pytest
 
 import agvm.models
+from agvm import harness
 from agvm.models import ModelConfig, SyntheticModel, make_dataset
 
-TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                       "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the module runs
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_traced_name_resolves(tracing):
@@ -47,3 +65,12 @@ def test_default_forward_records_52_ops_through_the_traced_names(tracing):
     metrics = tracer.metrics(iterations=1)
     assert metrics["tensor.ops_per_forward"] == 52
     assert metrics["tensor.multiply.calls"] > 0
+
+
+def test_oracle_check_records_every_required_span(tracing, workloads):
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        harness.oracle_check(seed=0, n=64, b=16, resamples=100)
+    assert tracing.silent_spans(tracer, workloads.SPANS["oracle"]) == []
+    # the per-sample gradients are computed once per check
+    assert tracer.counts["variance.per_sample.rows"] == 64

@@ -94,6 +94,16 @@ class TestInvalidValues:
         assert "status=" not in out
 
 
+class TestInvalidOracleCheck:
+    @pytest.mark.parametrize("flags", [["--resamples", "5"], ["--seed", "-5"]])
+    def test_exit_1_with_an_error_line_and_no_traceback(self, flags, capsys):
+        code, out, err = run_main(["oracle-check"] + flags, capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in out + err
+        assert out == ""
+
+
 class TestOtherCommands:
     def test_variance_trace(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("AGVM_SEED", raising=False)

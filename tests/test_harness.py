@@ -14,7 +14,7 @@ from agvm.harness import (ExperimentConfig, LrSchedule, TraceRow, ablation_suite
                           phi_gap, read_csv, run_experiment, summary_text,
                           variance_trace)
 from agvm.models import ConfigError
-from agvm.optim import AgvmSgd
+from agvm.optim import AgvmSgd, OptimizerError
 from agvm.tensor import gradients
 
 FAST = dict(total_iterations=40, batch_size=16, n_samples=128, trunk_widths=(16,),
@@ -229,6 +229,29 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert res.summary["status"] == "NaN"
         assert res.summary["diverged_at"] >= 1
+        assert res.summary["diverged_reason"].startswith("non-finite loss")
+
+    def test_divergence_reason_names_the_module(self):
+        # the first AdamW update, lr * decay * w, overflows
+        cfg = ExperimentConfig(**{**FAST, "optimizer": "adamw", "base_lr": 1e300,
+                                  "weight_decay": 1e10, "warmup_iters": 0})
+        res = run_experiment(cfg)
+        assert res.summary["status"] == "NaN"
+        assert res.summary["diverged_at"] == 1
+        assert res.summary["diverged_reason"] == "non-finite update in module 'trunk' at step 1"
+
+    def test_ok_summary_has_no_divergence_reason(self):
+        res = run_experiment(ExperimentConfig(**FAST))
+        assert res.summary["status"] == "ok"
+        assert "diverged_reason" not in res.summary
+
+    def test_other_optimizer_errors_propagate(self, monkeypatch):
+        def failing_step(self, *args, **kwargs):
+            raise OptimizerError("step 1 is a modulation step but no grouped gradients were given")
+
+        monkeypatch.setattr(AgvmSgd, "step", failing_step)
+        with pytest.raises(OptimizerError, match="grouped"):
+            run_experiment(ExperimentConfig(**FAST))
 
     def test_diverged_step_is_not_counted_as_run(self, monkeypatch):
         completed = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agvm.models import ModulePartition
-from agvm.optim import (AgvmAdamW, AgvmSgd, Modulator, OptimizerError,
+from agvm.optim import (AgvmAdamW, AgvmSgd, DivergenceError, Modulator, OptimizerError,
                         compute_mu, force_unit_mu, load_checkpoint,
                         save_checkpoint, smooth_mu)
 from agvm.variance import GroupedGradients
@@ -169,14 +169,16 @@ class TestSgdStep:
         part = two_module_partition((2, 2))
         opt = AgvmSgd(part, modulator=Modulator(2, tau=10))
         w = np.zeros(4)
-        with pytest.raises(OptimizerError, match="head"):
+        with pytest.raises(DivergenceError, match="module 'head' at step 1"):
             opt.step(w, np.array([0.0, 0.0, np.inf, 0.0]), eta=0.1)
 
     def test_modulation_step_requires_groups(self):
         part = two_module_partition((1, 1))
         opt = AgvmSgd(part, modulator=Modulator(2, tau=1))
-        with pytest.raises(OptimizerError, match="grouped"):
+        with pytest.raises(OptimizerError, match="grouped") as info:
             opt.step(np.zeros(2), np.ones(2), eta=0.1)
+        # a misuse, not a divergence
+        assert not isinstance(info.value, DivergenceError)
 
     def test_negative_eta_rejected(self):
         part = two_module_partition((1, 1))
@@ -202,6 +204,15 @@ class TestAdamWStep:
         opt.step(w, np.zeros(2), eta=0.01)
         # r = 0, so only the decay term moves the weights
         assert w[0] == pytest.approx(0.9995, abs=1e-15)
+
+    def test_nonfinite_update_names_module(self):
+        part = two_module_partition((1, 1))
+        opt = AgvmAdamW(part, weight_decay=1e10, modulator=Modulator(2, tau=10))
+        w = np.array([0.0, 1.0])
+        # eta * decay * w overflows in the second module only
+        with pytest.raises(DivergenceError, match="update in module 'head' at step 1"):
+            opt.step(w, np.zeros(2), eta=1e300)
+        np.testing.assert_array_equal(w, [0.0, 1.0])
 
     def test_mu_constant_between_updates(self):
         part = two_module_partition((2, 2))

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from agvm import variance
 from agvm.harness import BENCHMARK
-from agvm.models import ModelConfig, ModulePartition, SyntheticModel, \
-    TwoBlockLinearModel, make_dataset
+from agvm.models import ConfigError, ModelConfig, ModulePartition, \
+    SyntheticModel, TwoBlockLinearModel, make_dataset
 from agvm.tensor import ShapeError, gradients
 from agvm.variance import (GroupedGradients, GroupingError,
                            brute_force_variance_oracle, cosine_similarity,
@@ -63,6 +65,28 @@ class TestSplitGroups:
             np.testing.assert_allclose(groups.g[name],
                                        (groups.g1[name] + groups.g2[name]) / 2.0,
                                        rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), half=st.integers(1, 64), d=st.integers(1, 40))
+    def test_half_means_are_the_strided_means(self, data, half, d):
+        b = 2 * half
+        arr = data.draw(hnp.arrays(np.float64, (b, d), elements=st.floats(
+            -1e6, 1e6, allow_nan=False, allow_infinity=False)))
+        groups = split_groups(arr, one_module_partition(d))
+        g1, g2, g = groups.g1["all"], groups.g2["all"], groups.g["all"]
+        ref = arr.mean(axis=0)
+        # numpy sums one strided column pairwise but several columns row by
+        # row; split_groups sums row by row, so d == 1 agrees only in value
+        if d > 1:
+            assert np.array_equal(g1.view(np.int64), arr[0::2].mean(axis=0).view(np.int64))
+            assert np.array_equal(g2.view(np.int64), arr[1::2].mean(axis=0).view(np.int64))
+        # g adds the two half sums: the same b terms as arr.mean in another
+        # order, so both lie within (b - 1) * 2**-53 * sum|x| of the exact sum
+        eps = np.finfo(np.float64).eps
+        tiny = np.finfo(np.float64).smallest_subnormal
+        bound = (b + 1) * eps * np.abs(arr).mean(axis=0) + 2 * tiny
+        for got, want in ((g, ref), (g1, arr[0::2].mean(axis=0)), (g2, arr[1::2].mean(axis=0))):
+            assert np.all(np.abs(got - want) <= bound)
 
     def test_from_half_means(self):
         part = ModulePartition(modules=(("trunk", (0,)), ("head", (1,))), param_sizes=(2, 1))
@@ -228,6 +252,22 @@ class TestFullVarianceEstimate:
             full_variance_estimate(groups, n=4, eta=1.0)
 
 
+def oracle_reference(per_sample, partition, b, resamples, seed, replace):
+    """The per-resample loop: gather each resample's rows, take their mean,
+    and add each module's squared deviation per parameter."""
+    n = per_sample.shape[0]
+    grad_full = per_sample.mean(axis=0)
+    idx = partition.flat_indices()
+    rng = np.random.default_rng(seed)
+    acc = np.zeros(partition.h)
+    for _ in range(resamples):
+        pick = rng.integers(0, n, size=b) if replace else rng.permutation(n)[:b]
+        diff = per_sample[pick].mean(axis=0) - grad_full
+        acc += np.array([np.dot(diff[idx[m]], diff[idx[m]]) / max(1, idx[m].size)
+                         for m in partition.names])
+    return acc / resamples
+
+
 class TestBruteForceOracle:
     def test_full_batch_without_replacement_is_zero(self):
         model = TwoBlockLinearModel(4, 3, 2, seed=1)
@@ -259,6 +299,13 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError, match="exceeds"):
             brute_force_variance_oracle(model, data, w=None, b=16, resamples=100, seed=0)
 
+    @pytest.mark.parametrize("b", [0, -3])
+    def test_empty_batch_rejected(self, b):
+        model = TwoBlockLinearModel(4, 3, 2, seed=1)
+        data = make_dataset(8, 4, 2, 0.2, seed=2)
+        with pytest.raises(ValueError, match=">= 1"):
+            brute_force_variance_oracle(model, data, w=None, b=b, resamples=100, seed=0)
+
     def test_matches_closed_form_population_variance(self):
         # mini-batches of 2 i.i.d. draws: Var(mean) = tr(population cov) / (2 d)
         n, b, resamples = 8, 2, 20000
@@ -283,6 +330,48 @@ class TestBruteForceOracle:
                 draws.append((diff @ diff) / idx[name].size)
             se = np.std(draws) / np.sqrt(resamples)
             assert abs(oracle[i] - closed) < 3 * se, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 64), resamples=st.integers(100, 300),
+           replace=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           sizes=st.lists(st.integers(0, 9), min_size=2, max_size=5),
+           chunk_bytes=st.sampled_from([8, 200, 4096, 1 << 19]))
+    def test_matches_the_per_resample_loop(self, data, n, resamples, replace, seed, sizes,
+                                           chunk_bytes):
+        b = 2 * data.draw(st.integers(1, n // 2))
+        # modules of several parameters, some of size 0
+        ids = tuple(range(len(sizes)))
+        part = ModulePartition(modules=(("a", ids[0::2]), ("b", ids[1::2])),
+                               param_sizes=tuple(sizes))
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-3, 4)
+        per_sample = scale * rng.normal(rng.normal(), 1.0, (n, part.total_size))
+        model = SimpleNamespace(partition=part)
+        data_n = (np.zeros((n, 1)), np.zeros((n, 1)))
+        with pytest.MonkeyPatch.context() as mp:
+            # small budgets split both the resamples and the columns into chunks
+            mp.setattr(variance, "_ORACLE_CHUNK_BYTES", chunk_bytes)
+            got = brute_force_variance_oracle(model, data_n, w=None, b=b, resamples=resamples,
+                                              seed=seed, replace=replace, per_sample=per_sample)
+        want = oracle_reference(per_sample, part, b, resamples, seed, replace)
+        # a full batch drawn without replacement deviates by rounding alone
+        noise = (4 * n * np.finfo(np.float64).eps * np.abs(per_sample).max(initial=0.0)) ** 2
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=noise)
+
+    def test_scratch_memory_is_two_chunks(self):
+        # the oracle check's size: the [n, d] gradients are passed in
+        p = BENCHMARK
+        model = TwoBlockLinearModel(p["input_dim"], p["hidden_dim"], p["output_dim"], seed=1)
+        per_sample = np.random.default_rng(3).normal(0, 1, (p["n"], model.partition.total_size))
+        data_n = (np.zeros((p["n"], 1)), np.zeros((p["n"], 1)))
+        tracemalloc.start()
+        try:
+            brute_force_variance_oracle(model, data_n, w=None, b=p["b"],
+                                        resamples=p["resamples"], seed=0, per_sample=per_sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * variance._ORACLE_CHUNK_BYTES + (256 << 10), peak
 
 
 class TestEstimateAgainstOracle:
@@ -312,6 +401,16 @@ class TestEstimateAgainstOracle:
         two_pass = harness.oracle_check(seed=3, n=64, b=16, resamples=200)
         assert len(calls) == 3
         assert two_pass == one_pass
+
+    @pytest.mark.parametrize("kwargs,words", [
+        (dict(seed=-1), "seed"), (dict(resamples=99), "resamples"),
+        (dict(n=64, b=15), "even"), (dict(n=64, b=0), "even"), (dict(n=8, b=16), "n=8"),
+        (dict(seed=-2, resamples=5), "seed.*resamples"),
+    ])
+    def test_check_settings_validated(self, kwargs, words):
+        from agvm.harness import oracle_check
+        with pytest.raises(ConfigError, match=words):
+            oracle_check(**kwargs)
 
     def test_oracle_rejects_per_sample_with_w_or_wrong_shape(self):
         model = TwoBlockLinearModel(4, 3, 2, seed=1)
