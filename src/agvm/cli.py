@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (ablation_suite, emit_csv, load_config, oracle_check,
+from .harness import (_coerce, ablation_suite, emit_csv, load_config, oracle_check,
                       run_experiment, summary_text, variance_trace)
 from .models import ConfigError, SyntheticModel, make_dataset
 from .tensor import grad_check
@@ -46,10 +46,11 @@ def _build_parser():
     common(sub.add_parser("variance-trace", help="trace per-module variance without updates"))
     gc = sub.add_parser("grad-check", help="finite-difference check of model gradients")
     gc.add_argument("--config", help="flat key = value config file")
-    gc.add_argument("--probes", type=int, default=20)
+    # integer flags are parsed in _dispatch, so a bad value is a ConfigError
+    gc.add_argument("--probes", default="20")
     oc = sub.add_parser("oracle-check", help="variance estimate vs brute-force oracle")
-    oc.add_argument("--seed", type=int, default=0)
-    oc.add_argument("--resamples", type=int, default=None)
+    oc.add_argument("--seed", default="0")
+    oc.add_argument("--resamples", default=None)
     return parser
 
 
@@ -67,13 +68,17 @@ def _dispatch(args, extras) -> int:
     if args.command == "oracle-check":
         if extras:
             raise ConfigError(f"unrecognized arguments: {' '.join(extras)}")
-        report = oracle_check(seed=args.seed, resamples=args.resamples)
+        resamples = None if args.resamples is None else _coerce("resamples", int, args.resamples)
+        report = oracle_check(seed=_coerce("seed", int, args.seed), resamples=resamples)
         print(summary_text(report))
         return 0
 
     overrides = _split_overrides(extras)
 
     if args.command == "grad-check":
+        probes = _coerce("probes", int, args.probes)
+        if probes < 1:
+            raise ConfigError(f"probes must be >= 1, got {probes}")
         config = load_config(args.config, overrides)
         model = SyntheticModel(config.model_config(), seed=config.seed)
         inputs, targets = make_dataset(config.n_samples, config.input_dim,
@@ -81,8 +86,8 @@ def _dispatch(args, extras) -> int:
                                        config.dataset_seed)
         batch = min(8, config.n_samples)
         err = grad_check(lambda: model.loss(inputs[:batch], targets[:batch], mask_seed=0),
-                         model.params, probe_count=args.probes, seed=config.seed)
-        print(summary_text({"max_rel_err": err, "probes": args.probes}))
+                         model.params, probe_count=probes, seed=config.seed)
+        print(summary_text({"max_rel_err": err, "probes": probes}))
         return 0
 
     if args.command == "ablate":

@@ -192,17 +192,17 @@ class ExperimentConfig:
             bad.append(f"tau must be >= 0 (0 = default), got {self.tau}")
         if self.workers < 1:
             bad.append(f"workers must be >= 1, got {self.workers}")
+        model = None
         try:
             model = self.model_config()
+            model.validate()
         except ConfigError as exc:
-            model = None
             bad.append(str(exc))
         if model is not None and not 0 <= self.anchor < model.module_count:
             bad.append(f"anchor {self.anchor} out of range for the model's "
                        f"{model.module_count} modules")
         if bad:
             raise ConfigError("invalid experiment config: " + "; ".join(bad))
-        model.validate()
 
     def _ablation_fields(self) -> dict:
         """Model-field overrides implied by the ablation arm."""
@@ -642,9 +642,8 @@ def oracle_check(seed: int = 0, n: Optional[int] = None, b: Optional[int] = None
         estimates += full_variance_estimate(groups, n=p["n"], eta=1.0)
     estimates /= p["resamples"]
 
-    oracle = brute_force_variance_oracle(model, (inputs, targets), w=None, b=p["b"],
-                                         resamples=p["resamples"], seed=seed + 4,
-                                         per_sample=per_sample)
+    oracle = brute_force_variance_oracle(per_sample, model.partition, b=p["b"],
+                                         resamples=p["resamples"], seed=seed + 4)
     rel = np.abs(estimates - oracle) / oracle
     out = {}
     for i, name in enumerate(names):

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -93,8 +95,9 @@ class ModulePartition:
 
     ``modules`` maps each name to the indices of its parameter tensors in
     the owning model's parameter list; ``param_sizes`` gives the flat length
-    of every parameter so module slices of a packed gradient vector can be
-    resolved.
+    of every parameter. Each module owns a non-empty run of consecutive
+    parameter ids, in module order, so each module is one contiguous slice
+    (``slices``) of the packed flat vector.
     """
 
     modules: tuple            # ((name, (param ids...)), ...)
@@ -106,9 +109,15 @@ class ModulePartition:
             raise ConfigError(f"partition needs at least 2 modules, got {self.h}")
         if not 0 <= self.anchor_index < self.h:
             raise ConfigError(f"anchor_index {self.anchor_index} out of range for {self.h} modules")
+        if len(set(self.names)) != self.h:
+            raise ConfigError(f"module names must be distinct, got {self.names}")
+        if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in self.param_sizes):
+            raise ConfigError(f"param_sizes must be non-negative integers, got {self.param_sizes}")
         seen = [i for _, ids in self.modules for i in ids]
-        if sorted(seen) != list(range(len(self.param_sizes))):
-            raise ConfigError("every parameter must belong to exactly one module")
+        if seen != list(range(len(self.param_sizes))) or not all(ids for _, ids in self.modules):
+            raise ConfigError(
+                "every parameter must belong to exactly one module, and each module must own "
+                f"a non-empty run of consecutive parameter ids in module order; got {self.modules}")
 
     @property
     def h(self) -> int:
@@ -126,24 +135,13 @@ class ModulePartition:
     def total_size(self) -> int:
         return int(sum(self.param_sizes))
 
-    def flat_indices(self) -> dict:
-        """Read-only index array into the packed flat vector for each module.
-
-        Built on the first call; every later call returns the same dict,
-        which callers must not modify.
-        """
-        return self._flat_indices
-
     @cached_property
-    def _flat_indices(self) -> dict:
-        offsets = np.concatenate([[0], np.cumsum(self.param_sizes)]).astype(np.intp)
-        out = {}
-        for name, ids in self.modules:
-            parts = [np.arange(offsets[i], offsets[i + 1], dtype=np.intp) for i in ids]
-            idx = np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
-            idx.flags.writeable = False
-            out[name] = idx
-        return out
+    def slices(self) -> MappingProxyType:
+        """Read-only map from each module name to its slice of the packed flat
+        vector, built on first use."""
+        offsets = list(accumulate(self.param_sizes, initial=0))
+        return MappingProxyType({name: slice(offsets[ids[0]], offsets[ids[-1] + 1])
+                                 for name, ids in self.modules})
 
 
 def _halving_matrix(width: int) -> np.ndarray:

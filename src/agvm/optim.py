@@ -104,34 +104,28 @@ class _ModulatedOptimizer:
         self.modulator = modulator or Modulator(partition.h, anchor=partition.anchor_index)
         if self.modulator.n_modules != partition.h:
             raise ValueError("modulator size does not match partition")
-        self._indices = partition.flat_indices()
-        # module number of every coordinate of the packed vector
-        self._module_of = np.empty(partition.total_size, dtype=np.intp)
-        for i, name in enumerate(partition.names):
-            self._module_of[self._indices[name]] = i
+        self._module_sizes = [sl.stop - sl.start for sl in partition.slices.values()]
         self.t = 0
 
-    def _check_finite(self, grad: np.ndarray):
-        if np.all(np.isfinite(grad)):
+    def _check_finite(self, vec: np.ndarray, what: str):
+        if np.all(np.isfinite(vec)):
             return
-        for name in self.partition.names:
-            if not np.all(np.isfinite(grad[self._indices[name]])):
-                raise DivergenceError(
-                    f"non-finite gradient in module '{name}' at step {self.t}")
+        for name, sl in self.partition.slices.items():
+            if not np.all(np.isfinite(vec[sl])):
+                raise DivergenceError(f"non-finite {what} in module '{name}' at step {self.t}")
 
     def _mu_per_coord(self) -> np.ndarray:
-        return self.modulator.mu[self._module_of]
+        return np.repeat(self.modulator.mu, self._module_sizes)
 
     def _modulation_due(self) -> bool:
         return (not self.modulator.pinned) and self.t % self.modulator.tau == 0
 
     def _phi_from_groups(self, groups: GroupedGradients, scale: Optional[np.ndarray]) -> np.ndarray:
         phi = np.empty(self.partition.h)
-        for i, name in enumerate(self.partition.names):
+        for i, (name, sl) in enumerate(self.partition.slices.items()):
             g1, g2 = groups.g1[name], groups.g2[name]
             if scale is not None:
-                s = scale[self._indices[name]]
-                g1, g2 = g1 / s, g2 / s
+                g1, g2 = g1 / scale[sl], g2 / scale[sl]
             phi[i] = 1.0 - cosine_similarity(g1, g2)
         return phi
 
@@ -155,7 +149,7 @@ class AgvmSgd(_ModulatedOptimizer):
         if eta < 0:
             raise OptimizerError(f"learning rate must be >= 0, got {eta}")
         self.t += 1
-        self._check_finite(grad)
+        self._check_finite(grad, "gradient")
         if self._modulation_due():
             if groups is None:
                 raise OptimizerError(f"step {self.t} is a modulation step but no grouped gradients were given")
@@ -194,7 +188,7 @@ class AgvmAdamW(_ModulatedOptimizer):
         if eta < 0:
             raise OptimizerError(f"learning rate must be >= 0, got {eta}")
         self.t += 1
-        self._check_finite(grad)
+        self._check_finite(grad, "gradient")
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
         if self._modulation_due():
@@ -205,10 +199,7 @@ class AgvmAdamW(_ModulatedOptimizer):
         v_hat = self.v / (1.0 - self.beta2 ** self.t)
         r = m_hat / np.sqrt(v_hat + self.eps)
         update = (eta * self._mu_per_coord()) * (r + self.weight_decay * w)
-        if not np.all(np.isfinite(update)):
-            for name in self.partition.names:
-                if not np.all(np.isfinite(update[self._indices[name]])):
-                    raise DivergenceError(f"non-finite update in module '{name}' at step {self.t}")
+        self._check_finite(update, "update")
         w -= update
 
 
@@ -260,19 +251,37 @@ def save_checkpoint(optimizer, path: str):
 
 
 def load_checkpoint(path: str):
-    """Reconstruct an optimizer from a checkpoint; round-trips bit-exactly."""
+    """Reconstruct an optimizer from a checkpoint; round-trips bit-exactly.
+
+    Raises OptimizerError naming ``path`` for any document that is not a
+    well-formed checkpoint of this version.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            return _optimizer_from(json.load(fh))
+        except OptimizerError as exc:
+            raise OptimizerError(f"{path}: {exc}") from None
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise OptimizerError(f"{path}: malformed checkpoint "
+                                 f"({type(exc).__name__}: {exc})") from None
+
+
+def _optimizer_from(doc: dict):
     if doc.get("format") != "agvm-checkpoint":
-        raise OptimizerError(f"{path} is not an optimizer checkpoint")
+        raise OptimizerError("not an optimizer checkpoint")
     if doc.get("version") != _CHECKPOINT_VERSION:
         raise OptimizerError(f"unsupported checkpoint version {doc.get('version')}")
+    if doc["kind"] not in ("sgd", "adamw"):
+        raise OptimizerError(f"unknown optimizer kind {doc['kind']!r}")
     part = ModulePartition(
         modules=tuple((name, tuple(ids)) for name, ids in doc["partition"]["modules"]),
         param_sizes=tuple(doc["partition"]["param_sizes"]),
         anchor_index=doc["partition"]["anchor_index"],
     )
     md = doc["modulator"]
+    for name, value in (("step", doc["step"]), ("tau", md["tau"]), ("anchor", md["anchor"])):
+        if type(value) is not int or value < 0:
+            raise OptimizerError(f"checkpoint field {name!r} must be an integer >= 0, got {value!r}")
     fields = {"m": doc["m"], "mu": md["mu"]}
     if doc["kind"] == "adamw":
         fields["v"] = doc["v"]
@@ -300,5 +309,5 @@ def load_checkpoint(path: str):
                       weight_decay=float.fromhex(doc["weight_decay"]),
                       modulator=mod)
     opt.m = _from_hex(doc["m"])
-    opt.t = int(doc["step"])
+    opt.t = doc["step"]
     return opt

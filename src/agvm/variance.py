@@ -51,14 +51,14 @@ class GroupedGradients:
     @classmethod
     def from_half_means(cls, g1_flat: np.ndarray, g2_flat: np.ndarray, g_flat: np.ndarray,
                         partition: ModulePartition, b: int) -> "GroupedGradients":
-        """Split the flat half-batch means and the full mean g by module."""
-        idx = partition.flat_indices()
-        names = partition.names
+        """Split the flat half-batch means and the full mean g by module,
+        as views of each module's slice."""
+        slices = partition.slices
         return cls(
-            names=names,
-            g1={n: g1_flat[idx[n]] for n in names},
-            g2={n: g2_flat[idx[n]] for n in names},
-            g={n: g_flat[idx[n]] for n in names},
+            names=partition.names,
+            g1={n: g1_flat[sl] for n, sl in slices.items()},
+            g2={n: g2_flat[sl] for n, sl in slices.items()},
+            g={n: g_flat[sl] for n, sl in slices.items()},
             b=b,
         )
 
@@ -185,12 +185,13 @@ def per_sample_gradients(model, inputs, targets, mask_seed: int) -> np.ndarray:
     return per_sample
 
 
-def brute_force_variance_oracle(model, dataset, w, b: int, resamples: int, seed: int,
-                                replace: bool = True, mask_seed: int = 0,
-                                per_sample=None) -> np.ndarray:
+def brute_force_variance_oracle(per_sample, partition: ModulePartition, b: int, resamples: int,
+                                seed: int, replace: bool = True) -> np.ndarray:
     """Per-module, per-parameter gradient sampling variance by enumeration.
 
-    Computes the exact full-dataset gradient, then averages
+    ``per_sample`` is the [n, d] matrix of per-sample flat gradients over the
+    whole dataset (``per_sample_gradients``), laid out by ``partition``. Its
+    mean is the exact full-dataset gradient; the oracle averages
     |g_batch - grad_full|^2 / d_module over ``resamples`` mini-batches of
     size b (drawn with replacement by default). Independent of the cosine
     estimator by construction.
@@ -206,36 +207,22 @@ def brute_force_variance_oracle(model, dataset, w, b: int, resamples: int, seed:
     [c, width] block of means, each at most 512 KiB (``c`` and ``width``
     follow from n and d), and each block of ``per_sample`` is packed for BLAS
     once per ``c`` resamples. The squared deviations are summed over
-    resamples per parameter, and each module's share is taken from that one
-    [d] vector.
-
-    ``per_sample`` may pass in the [n, d] result of
-    ``per_sample_gradients(model, *dataset, mask_seed)`` at the model's
-    current parameters (so ``w`` must be None), to save recomputing it.
+    resamples per parameter, and each module's share is the sum over its
+    slice (``partition.slices``) of that one [d] vector.
     """
-    inputs, targets = dataset
-    n = np.asarray(inputs).shape[0]
+    shape = np.shape(per_sample)
+    if len(shape) != 2 or shape[1] != partition.total_size:
+        raise ValueError(f"per_sample has shape {shape}, expected [n, {partition.total_size}]")
+    n, d = shape
     if b > n:
         raise ValueError(f"batch size b={b} exceeds dataset size n={n}")
     if b < 1:
         raise ValueError(f"batch size b={b} must be >= 1")
     if resamples < 100:
         raise ValueError(f"resamples must be >= 100, got {resamples}")
-    if per_sample is None:
-        if w is not None:
-            from .tensor import load_params
-            load_params(model.params, np.asarray(w, dtype=np.float64))
-        per_sample = per_sample_gradients(model, inputs, targets, mask_seed)
-    elif w is not None:
-        raise ValueError("pass either w or per_sample, not both: per_sample holds "
-                         "the gradients at the model's current parameters")
-    elif np.shape(per_sample) != (n, model.partition.total_size):
-        raise ValueError(f"per_sample has shape {np.shape(per_sample)}, expected "
-                         f"{(n, model.partition.total_size)}")
     grad_full = per_sample.mean(axis=0)
 
     rng = np.random.default_rng(seed)
-    d = per_sample.shape[1]
     c = min(resamples, max(1, _ORACLE_CHUNK_BYTES // (8 * n)))
     width = max(1, min(d, _ORACLE_CHUNK_BYTES // (8 * c)))
     weights = np.empty((c, n))
@@ -255,9 +242,5 @@ def brute_force_variance_oracle(model, dataset, w, b: int, resamples: int, seed:
             np.square(dev, out=dev)
             sq_dev[lo:hi] += dev.sum(axis=0)
 
-    # each module's share, from its parameters' contiguous slices of sq_dev
-    part = model.partition
-    ends = np.cumsum(part.param_sizes, dtype=np.intp)
-    param_sq = [sq_dev[end - size:end].sum() for size, end in zip(part.param_sizes, ends)]
-    return np.array([sum(param_sq[i] for i in ids) / max(1, sum(part.param_sizes[i] for i in ids))
-                     for _, ids in part.modules]) / resamples
+    return np.array([sq_dev[sl].sum() / max(1, sl.stop - sl.start)
+                     for sl in partition.slices.values()]) / resamples

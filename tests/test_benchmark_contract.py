@@ -17,6 +17,7 @@ import pytest
 
 import agvm.models
 from agvm import harness
+from agvm.harness import ExperimentConfig
 from agvm.models import ModelConfig, SyntheticModel, make_dataset
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
@@ -74,3 +75,32 @@ def test_oracle_check_records_every_required_span(tracing, workloads):
     assert tracing.silent_spans(tracer, workloads.SPANS["oracle"]) == []
     # the per-sample gradients are computed once per check
     assert tracer.counts["variance.per_sample.rows"] == 64
+
+
+# Shortened workload configs: the same code paths as the benchmark's units.
+SHORT = dict(total_iterations=20, warmup_iters=5)
+
+
+@pytest.mark.parametrize("workload,overrides", [
+    ("train-b256-sgd", {}),
+    # AdamW with AGVM on, at a batch small enough for tier-1
+    ("train-b2048-adamw", dict(batch_size=256, n_samples=2048)),
+])
+def test_training_run_records_every_required_span(tracing, workloads, workload, overrides):
+    base = {"train-b256-sgd": workloads.MISALIGNMENT,
+            "train-b2048-adamw": workloads.LARGE_BATCH}[workload]
+    config = ExperimentConfig(**dict(base, **SHORT, **overrides))
+    assert config.agvm_enabled
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        result = harness.run_experiment(config)
+    assert result.summary["status"] == "ok"
+    assert tracing.silent_spans(tracer, workloads.SPANS[workload]) == []
+
+
+def test_ablation_battery_records_every_required_span(tracing, workloads):
+    config = ExperimentConfig(**dict(workloads.ABLATION_BASE, **SHORT))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        harness.ablation_suite(config)
+    assert tracing.silent_spans(tracer, workloads.SPANS["ablate-b256"]) == []

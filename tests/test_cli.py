@@ -81,6 +81,7 @@ class TestInvalidValues:
         ["--optimizer=adamw", "--beta2=1.0"], ["--batch_size=abc"], ["--n_samples=1e3"],
         ["--trunk_widths=32,x"], ["--base_lr=-1"], ["--base_lr=inf"], ["--noise_std=nan"],
         ["--decay_factor=nan"], ["--seed=-1"], ["--base_batch=0"], ["--ablation=mask:abc"],
+        ["--levels=0"], ["--head_mode=both", "--alpha=2"],
         # a valid config whose dataset cannot be allocated: numpy's MemoryError
         ["--input_dim=100000000000"],
     ])
@@ -95,9 +96,21 @@ class TestInvalidValues:
 
 
 class TestInvalidOracleCheck:
-    @pytest.mark.parametrize("flags", [["--resamples", "5"], ["--seed", "-5"]])
+    @pytest.mark.parametrize("flags", [["--resamples", "5"], ["--seed", "-5"], ["--seed=x"],
+                                       ["--resamples=abc"]])
     def test_exit_1_with_an_error_line_and_no_traceback(self, flags, capsys):
         code, out, err = run_main(["oracle-check"] + flags, capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in out + err
+        assert out == ""
+
+
+class TestInvalidGradCheck:
+    @pytest.mark.parametrize("flags", [["--probes", "0"], ["--probes=-3"], ["--probes=abc"]])
+    def test_exit_1_with_an_error_line_and_no_traceback(self, flags, capsys, monkeypatch):
+        monkeypatch.delenv("AGVM_SEED", raising=False)
+        code, out, err = run_main(["grad-check"] + flags + FAST_ARGS, capsys)
         assert code == 1
         assert err.startswith("error: ")
         assert "Traceback" not in out + err

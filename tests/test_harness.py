@@ -119,6 +119,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="ablation"):
             ExperimentConfig(ablation="sideways").validate()
 
+    @pytest.mark.parametrize("fields,needles", [
+        (dict(levels=0, base_lr=-1), ["levels", "base_lr"]),
+        (dict(head_mode="both", alpha=2.0, mask_fraction=1.0),
+         ["head_mode", "alpha", "mask_fraction"]),
+        (dict(trunk_widths=(6,), seed=-1), ["divisible", "seed"]),
+    ])
+    def test_model_violations_listed_with_the_others(self, fields, needles):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**fields).validate()
+        message = str(info.value)
+        assert message.startswith("invalid experiment config: ")
+        assert [n for n in needles if n not in message] == []
+
     def test_tau_default_rule(self):
         assert ExperimentConfig(tau=0, batch_size=256).effective_tau() == 10
         assert ExperimentConfig(tau=0, batch_size=2048, n_samples=4096).effective_tau() == 5
@@ -464,14 +477,13 @@ class TestGroupedPass:
         # ([256, 32] @ [32, 8]) it does not, and the halves then differ from
         # the whole batch in the last bit
         runner = harness._Runner(ExperimentConfig(batch_size=64, n_samples=256, **arm))
-        idx = {n: runner.partition.flat_indices()[n] for n in runner.partition.names}
         for t in (0, 5):
             batch = runner.draw_batch()
             loss, grad, groups = runner.grouped_loss_and_grad(batch, t)
             (l1, g1), (l2, g2) = two_half_passes(runner, batch, t)
-            for name in runner.partition.names:
-                np.testing.assert_array_equal(groups.g1[name], g1[idx[name]])
-                np.testing.assert_array_equal(groups.g2[name], g2[idx[name]])
+            for name, sl in runner.partition.slices.items():
+                np.testing.assert_array_equal(groups.g1[name], g1[sl])
+                np.testing.assert_array_equal(groups.g2[name], g2[sl])
             np.testing.assert_array_equal(grad, (g1 + g2) / 2.0)
             # the loss is the whole-batch mean, the half means' average re-associated
             assert loss == pytest.approx(0.5 * (l1 + l2), rel=1e-15, abs=0)

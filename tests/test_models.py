@@ -80,14 +80,43 @@ class TestPartition:
             ModulePartition(modules=(("a", (0,)), ("b", (1,))), param_sizes=(2, 3),
                             anchor_index=5)
 
-    def test_flat_indices_built_once_and_read_only(self):
-        partition = ModulePartition(modules=(("a", (0, 2)), ("b", (1,))), param_sizes=(2, 3, 1))
-        idx = partition.flat_indices()
-        assert partition.flat_indices() is idx
-        np.testing.assert_array_equal(idx["a"], [0, 1, 5])
-        np.testing.assert_array_equal(idx["b"], [2, 3, 4])
-        with pytest.raises(ValueError, match="read-only"):
-            idx["a"][0] = 3
+    def test_slices_built_once_and_read_only(self):
+        partition = ModulePartition(modules=(("a", (0, 1)), ("b", (2,))), param_sizes=(2, 3, 1))
+        slices = partition.slices
+        assert partition.slices is slices
+        assert dict(slices) == {"a": slice(0, 5), "b": slice(5, 6)}
+        with pytest.raises(TypeError):
+            slices["a"] = slice(0, 1)
+
+    @pytest.mark.parametrize("modules", [
+        pytest.param((("a", (0, 2)), ("b", (1,))), id="interleaved"),
+        pytest.param((("a", (1, 2)), ("b", (0,))), id="out-of-order"),
+        pytest.param((("a", (1, 0)), ("b", (2,))), id="reversed-run"),
+        pytest.param((("a", ()), ("b", (0, 1, 2))), id="empty-module"),
+    ])
+    def test_non_consecutive_modules_rejected(self, modules):
+        with pytest.raises(ConfigError, match="consecutive"):
+            ModulePartition(modules=modules, param_sizes=(2, 3, 1))
+
+    def test_module_names_must_be_distinct(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            ModulePartition(modules=(("a", (0,)), ("a", (1,))), param_sizes=(2, 3))
+
+    @pytest.mark.parametrize("sizes", [(2, -1), (2, 1.5), (2, "3")])
+    def test_param_sizes_must_be_non_negative_integers(self, sizes):
+        with pytest.raises(ConfigError, match="param_sizes"):
+            ModulePartition(modules=(("a", (0,)), ("b", (1,))), param_sizes=sizes)
+
+    def test_both_models_lay_modules_out_contiguously(self):
+        for cfg in (ModelConfig(), ModelConfig(head_mode="independent"),
+                    ModelConfig(pyramid=False, levels=1)):
+            model = SyntheticModel(cfg, seed=0)
+            packed = pack_params(model.params)
+            for (_, ids), sl in zip(model.partition.modules, model.partition.slices.values()):
+                np.testing.assert_array_equal(
+                    packed[sl], np.concatenate([model.params[i].data.ravel() for i in ids]))
+        assert dict(TwoBlockLinearModel(3, 2, 4, seed=0).partition.slices) == {
+            "trunk": slice(0, 6), "head": slice(6, 14)}
 
 
 class TestConfigValidation:

@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agvm.models import ModulePartition
 from agvm.optim import (AgvmAdamW, AgvmSgd, DivergenceError, Modulator, OptimizerError,
@@ -146,16 +149,16 @@ class TestSgdStep:
         assert w[0] == pytest.approx(0.8, abs=1e-15)   # anchor: eta_hat = 0.1
         assert w[1] == pytest.approx(0.6, abs=1e-15)   # head: eta_hat = 0.2
 
-    def test_multiplier_follows_interleaved_module_coordinates(self):
-        # trunk owns parameters 0 and 2, so its coordinates straddle the head's
-        part = ModulePartition(modules=(("trunk", (0, 2)), ("head", (1,))),
+    def test_multiplier_follows_multi_parameter_module(self):
+        # trunk owns parameters 0 and 1, so its slice spans both
+        part = ModulePartition(modules=(("trunk", (0, 1)), ("head", (2,))),
                                param_sizes=(2, 1, 3))
         mod = Modulator(2, tau=10)
         mod.mu = np.array([1.0, 3.0])
         opt = AgvmSgd(part, beta1=0.0, weight_decay=0.0, modulator=mod)
         w = np.zeros(6)
         opt.step(w, np.ones(6), eta=0.5)
-        np.testing.assert_array_equal(w, [-0.5, -0.5, -1.5, -0.5, -0.5, -0.5])
+        np.testing.assert_array_equal(w, [-0.5, -0.5, -0.5, -1.5, -1.5, -1.5])
 
     def test_momentum_first_step(self):
         part = two_module_partition((1, 1))
@@ -376,3 +379,92 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(OptimizerError, match=f"'{field}'"):
             load_checkpoint(str(path))
+
+
+def saved_document(tmp_dir, kind):
+    """A checkpoint of a fresh optimizer over a (4, 3)-parameter, two-module
+    partition, as a JSON document."""
+    part = two_module_partition((4, 3))
+    opt = (AgvmSgd if kind == "sgd" else AgvmAdamW)(part, modulator=Modulator(2, tau=3))
+    path = tmp_dir / f"{kind}.ckpt"
+    save_checkpoint(opt, str(path))
+    return json.loads(path.read_text())
+
+
+DELETE = object()
+
+
+def edit(doc, keys, value):
+    """Replace the entry at ``keys`` (a path of keys and indices) with
+    ``value``, or delete it if ``value`` is DELETE."""
+    for key in keys[:-1]:
+        doc = doc[key]
+    if value is DELETE:
+        del doc[keys[-1]]
+    else:
+        doc[keys[-1]] = value
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10 ** 6) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("kind,keys,value", [
+        ("sgd", ["m"], DELETE), ("adamw", ["v"], DELETE), ("sgd", ["modulator", "tau"], DELETE),
+        ("sgd", ["partition"], DELETE), ("sgd", ["modulator", "alpha"], "0xzz"),
+        ("adamw", ["m", 2], "not hex"), ("sgd", ["beta1"], 0.9), ("sgd", ["step"], "three"),
+        ("sgd", ["kind"], "lion"), ("sgd", ["modulator", "tau"], 0),
+        ("sgd", ["modulator", "tau"], 2.5), ("adamw", ["step"], 1.9),
+        ("sgd", ["modulator", "anchor"], 0.0), ("sgd", ["step"], True),
+        ("sgd", ["partition", "param_sizes"], [8, -1]),
+        # modules that are not consecutive runs of parameter ids, or share a name
+        ("sgd", ["partition", "modules"], [["trunk", [1]], ["head", [0]]]),
+        ("adamw", ["partition", "modules"], [["trunk", [0, 1]], ["head", []]]),
+        ("sgd", ["partition", "modules"], [["trunk", [0]], ["trunk", [1]]]),
+    ])
+    def test_raises_optimizer_error_naming_the_path(self, tmp_path, kind, keys, value):
+        doc = saved_document(tmp_path, kind)
+        edit(doc, keys, value)
+        path = tmp_path / "edited.ckpt"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(OptimizerError, match=re.escape(str(path))):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("content", [b"", b"{", b"[1, 2]", b'"agvm-checkpoint"',
+                                         b"\xff\xfe"])
+    def test_non_documents_raise_optimizer_error(self, tmp_path, content):
+        path = tmp_path / "junk.ckpt"
+        path.write_bytes(content)
+        with pytest.raises(OptimizerError, match=re.escape(str(path))):
+            load_checkpoint(str(path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["sgd", "adamw"]), delete=st.booleans(),
+           value=JSON_VALUES)
+    def test_any_edit_loads_or_raises_optimizer_error(self, tmp_path_factory, data, kind,
+                                                      delete, value):
+        tmp_dir = tmp_path_factory.mktemp("ckpt")
+        doc = saved_document(tmp_dir, kind)
+        # walk down to one entry of the document and delete or replace it
+        keys, node = [], doc
+        while True:
+            key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                            else range(len(node))))
+            keys.append(key)
+            node = node[key]
+            if not isinstance(node, (dict, list)) or not node or data.draw(st.booleans()):
+                break
+        edit(doc, keys, DELETE if delete else value)
+        path = tmp_dir / "edited.ckpt"
+        path.write_text(json.dumps(doc))
+        try:
+            opt = load_checkpoint(str(path))
+        except OptimizerError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+        else:
+            assert isinstance(opt, (AgvmSgd, AgvmAdamW))
+

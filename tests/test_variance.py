@@ -1,5 +1,4 @@
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -257,23 +256,28 @@ def oracle_reference(per_sample, partition, b, resamples, seed, replace):
     and add each module's squared deviation per parameter."""
     n = per_sample.shape[0]
     grad_full = per_sample.mean(axis=0)
-    idx = partition.flat_indices()
     rng = np.random.default_rng(seed)
     acc = np.zeros(partition.h)
     for _ in range(resamples):
         pick = rng.integers(0, n, size=b) if replace else rng.permutation(n)[:b]
         diff = per_sample[pick].mean(axis=0) - grad_full
-        acc += np.array([np.dot(diff[idx[m]], diff[idx[m]]) / max(1, idx[m].size)
-                         for m in partition.names])
+        acc += np.array([np.dot(diff[sl], diff[sl]) / max(1, sl.stop - sl.start)
+                         for sl in partition.slices.values()])
     return acc / resamples
+
+
+def oracle_of(model, data, **kwargs):
+    """The oracle over the per-sample gradients of ``data`` at the model's
+    parameters."""
+    per_sample = per_sample_gradients(model, data[0], data[1], mask_seed=0)
+    return brute_force_variance_oracle(per_sample, model.partition, **kwargs)
 
 
 class TestBruteForceOracle:
     def test_full_batch_without_replacement_is_zero(self):
         model = TwoBlockLinearModel(4, 3, 2, seed=1)
         data = make_dataset(16, 4, 2, 0.2, seed=2)
-        var = brute_force_variance_oracle(model, data, w=None, b=16, resamples=100,
-                                          seed=0, replace=False)
+        var = oracle_of(model, data, b=16, resamples=100, seed=0, replace=False)
         assert np.all(var < 1e-25)
 
     def test_zero_at_noiseless_optimum(self):
@@ -284,27 +288,35 @@ class TestBruteForceOracle:
         # build targets through the same kernels as the batched forward that
         # yields every per-sample gradient, so the residual is bitwise zero
         y = (x @ model.params[0].value) @ model.params[1].value
-        var = brute_force_variance_oracle(model, (x, y), w=None, b=4, resamples=100, seed=1)
+        var = oracle_of(model, (x, y), b=4, resamples=100, seed=1)
         np.testing.assert_array_equal(var, [0.0, 0.0])
 
     def test_resamples_validated(self):
         model = TwoBlockLinearModel(4, 3, 2, seed=1)
         data = make_dataset(16, 4, 2, 0.2, seed=2)
         with pytest.raises(ValueError, match="resamples"):
-            brute_force_variance_oracle(model, data, w=None, b=4, resamples=10, seed=0)
+            oracle_of(model, data, b=4, resamples=10, seed=0)
 
     def test_batch_larger_than_dataset_rejected(self):
         model = TwoBlockLinearModel(4, 3, 2, seed=1)
         data = make_dataset(8, 4, 2, 0.2, seed=2)
         with pytest.raises(ValueError, match="exceeds"):
-            brute_force_variance_oracle(model, data, w=None, b=16, resamples=100, seed=0)
+            oracle_of(model, data, b=16, resamples=100, seed=0)
 
     @pytest.mark.parametrize("b", [0, -3])
     def test_empty_batch_rejected(self, b):
         model = TwoBlockLinearModel(4, 3, 2, seed=1)
         data = make_dataset(8, 4, 2, 0.2, seed=2)
         with pytest.raises(ValueError, match=">= 1"):
-            brute_force_variance_oracle(model, data, w=None, b=b, resamples=100, seed=0)
+            oracle_of(model, data, b=b, resamples=100, seed=0)
+
+    def test_per_sample_of_wrong_shape_rejected(self):
+        model = TwoBlockLinearModel(4, 3, 2, seed=1)
+        data = make_dataset(16, 4, 2, 0.2, seed=2)
+        per_sample = per_sample_gradients(model, data[0], data[1], mask_seed=0)
+        for bad in (per_sample[:, :-1], per_sample[0], per_sample[None]):
+            with pytest.raises(ValueError, match="shape"):
+                brute_force_variance_oracle(bad, model.partition, b=4, resamples=100, seed=0)
 
     def test_matches_closed_form_population_variance(self):
         # mini-batches of 2 i.i.d. draws: Var(mean) = tr(population cov) / (2 d)
@@ -313,46 +325,47 @@ class TestBruteForceOracle:
         data = make_dataset(n, 2, 1, 0.3, seed=6)
         per_sample = per_sample_gradients(model, data[0], data[1], mask_seed=0)
         grad_full = per_sample.mean(axis=0)
-        idx = model.partition.flat_indices()
 
-        oracle = brute_force_variance_oracle(model, data, w=None, b=b,
+        oracle = brute_force_variance_oracle(per_sample, model.partition, b=b,
                                              resamples=resamples, seed=7)
-        for i, name in enumerate(model.partition.names):
-            block = per_sample[:, idx[name]]
-            pop_cov_trace = ((block - grad_full[idx[name]]) ** 2).sum(axis=1).mean()
-            closed = pop_cov_trace / b / idx[name].size
+        for i, (name, sl) in enumerate(model.partition.slices.items()):
+            block = per_sample[:, sl]
+            size = sl.stop - sl.start
+            pop_cov_trace = ((block - grad_full[sl]) ** 2).sum(axis=1).mean()
+            closed = pop_cov_trace / b / size
             # Monte-Carlo standard error of the oracle mean, from the draw distribution
             draws = []
             rng = np.random.default_rng(99)
             for _ in range(4000):
                 pick = rng.integers(0, n, size=b)
-                diff = block[pick].mean(axis=0) - grad_full[idx[name]]
-                draws.append((diff @ diff) / idx[name].size)
+                diff = block[pick].mean(axis=0) - grad_full[sl]
+                draws.append((diff @ diff) / size)
             se = np.std(draws) / np.sqrt(resamples)
             assert abs(oracle[i] - closed) < 3 * se, name
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(2, 64), resamples=st.integers(100, 300),
            replace=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
-           sizes=st.lists(st.integers(0, 9), min_size=2, max_size=5),
+           sizes=st.lists(st.integers(0, 9), min_size=2, max_size=6),
            chunk_bytes=st.sampled_from([8, 200, 4096, 1 << 19]))
     def test_matches_the_per_resample_loop(self, data, n, resamples, replace, seed, sizes,
                                            chunk_bytes):
         b = 2 * data.draw(st.integers(1, n // 2))
-        # modules of several parameters, some of size 0
-        ids = tuple(range(len(sizes)))
-        part = ModulePartition(modules=(("a", ids[0::2]), ("b", ids[1::2])),
-                               param_sizes=tuple(sizes))
+        # 2 or more modules, each a run of consecutive parameters, some of size 0
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(sizes) - 1), min_size=1)))
+        bounds = [0] + cuts + [len(sizes)]
+        part = ModulePartition(
+            modules=tuple((f"m{k}", tuple(range(lo, hi)))
+                          for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))),
+            param_sizes=tuple(sizes))
         rng = np.random.default_rng(seed)
         scale = 10.0 ** rng.integers(-3, 4)
         per_sample = scale * rng.normal(rng.normal(), 1.0, (n, part.total_size))
-        model = SimpleNamespace(partition=part)
-        data_n = (np.zeros((n, 1)), np.zeros((n, 1)))
         with pytest.MonkeyPatch.context() as mp:
             # small budgets split both the resamples and the columns into chunks
             mp.setattr(variance, "_ORACLE_CHUNK_BYTES", chunk_bytes)
-            got = brute_force_variance_oracle(model, data_n, w=None, b=b, resamples=resamples,
-                                              seed=seed, replace=replace, per_sample=per_sample)
+            got = brute_force_variance_oracle(per_sample, part, b=b, resamples=resamples,
+                                              seed=seed, replace=replace)
         want = oracle_reference(per_sample, part, b, resamples, seed, replace)
         # a full batch drawn without replacement deviates by rounding alone
         noise = (4 * n * np.finfo(np.float64).eps * np.abs(per_sample).max(initial=0.0)) ** 2
@@ -363,11 +376,10 @@ class TestBruteForceOracle:
         p = BENCHMARK
         model = TwoBlockLinearModel(p["input_dim"], p["hidden_dim"], p["output_dim"], seed=1)
         per_sample = np.random.default_rng(3).normal(0, 1, (p["n"], model.partition.total_size))
-        data_n = (np.zeros((p["n"], 1)), np.zeros((p["n"], 1)))
         tracemalloc.start()
         try:
-            brute_force_variance_oracle(model, data_n, w=None, b=p["b"],
-                                        resamples=p["resamples"], seed=0, per_sample=per_sample)
+            brute_force_variance_oracle(per_sample, model.partition, b=p["b"],
+                                        resamples=p["resamples"], seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -390,17 +402,8 @@ class TestEstimateAgainstOracle:
 
         monkeypatch.setattr(harness, "per_sample_gradients", counted)
         monkeypatch.setattr(variance, "per_sample_gradients", counted)
-        one_pass = harness.oracle_check(seed=3, n=64, b=16, resamples=200)
+        harness.oracle_check(seed=3, n=64, b=16, resamples=200)
         assert len(calls) == 1
-
-        # the oracle recomputing the per-sample gradients itself gives the same report
-        def recomputing(*args, per_sample, **kwargs):
-            return brute_force_variance_oracle(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "brute_force_variance_oracle", recomputing)
-        two_pass = harness.oracle_check(seed=3, n=64, b=16, resamples=200)
-        assert len(calls) == 3
-        assert two_pass == one_pass
 
     @pytest.mark.parametrize("kwargs,words", [
         (dict(seed=-1), "seed"), (dict(resamples=99), "resamples"),
@@ -411,17 +414,6 @@ class TestEstimateAgainstOracle:
         from agvm.harness import oracle_check
         with pytest.raises(ConfigError, match=words):
             oracle_check(**kwargs)
-
-    def test_oracle_rejects_per_sample_with_w_or_wrong_shape(self):
-        model = TwoBlockLinearModel(4, 3, 2, seed=1)
-        data = make_dataset(16, 4, 2, 0.2, seed=2)
-        per_sample = per_sample_gradients(model, data[0], data[1], mask_seed=0)
-        with pytest.raises(ValueError, match="not both"):
-            brute_force_variance_oracle(model, data, w=np.zeros(per_sample.shape[1]), b=4,
-                                        resamples=100, seed=0, per_sample=per_sample)
-        with pytest.raises(ValueError, match="shape"):
-            brute_force_variance_oracle(model, data, w=None, b=4, resamples=100, seed=0,
-                                        per_sample=per_sample[:8])
 
 
 def per_sample_reference(model, inputs, targets, mask_seed):
