@@ -87,7 +87,9 @@ def _dispatch(args, extras) -> int:
         batch = min(8, config.n_samples)
         err = grad_check(lambda: model.loss(inputs[:batch], targets[:batch], mask_seed=0),
                          model.params, probe_count=probes, seed=config.seed)
-        print(summary_text({"max_rel_err": err, "probes": probes}))
+        # grad_check probes each coordinate at most once
+        coords = sum(p.size for p in model.params if p.requires_grad)
+        print(summary_text({"max_rel_err": err, "probes": min(probes, coords)}))
         return 0
 
     if args.command == "ablate":

@@ -37,11 +37,21 @@ adds contributions to non-leaf tensors out of place.
 ``gradients(loss, wrt, row_groups)`` is the one reverse pass, and every
 ``wrt`` tensor must be a leaf. It lays the ``wrt`` tensors out side by side
 in one preallocated buffer, ``[total]`` or ``[k, total]``, and writes each
-leaf's first contribution straight into its slot (a matmul or axis-0 sum
-with ``out=``) and adds later ones in place; only slots that no path
-reached are zeroed. The result is a list of slot views with the buffer as
-``.packed``, so a caller that wants one flat gradient vector (or the
-[k, total] row groups) takes it without a concatenation or a copy.
+leaf's first contribution straight into its slot (a matmul with ``out=``)
+and adds later ones in place; only slots that no path reached are zeroed.
+The result is a list of slot views with the buffer as ``.packed``, so a
+caller that wants one flat gradient vector (or the [k, total] row groups)
+takes it without a concatenation or a copy.
+
+Every sum over the batch axis for a leaf's gradient goes through BLAS: a
+matmul's right operand as ``left.T @ right``, a bias as the product of a
+cached ones vector with the ``[rows, w]`` incoming gradient. numpy's
+``sum(axis=0)`` over so narrow an array runs one short loop per row and is
+several times slower at large batches. The product re-associates the sum
+(BLAS order instead of numpy's), so a bias gradient can differ from
+``sum(axis=0)`` in the last bits. The row-block fold of a repeated
+``[r, d]`` side stays a numpy axis-0 sum: its kept axis is wide, where
+numpy is already fast.
 
 relu is ``np.fmax(x, 0.0)`` followed by an in-place ``+= 0.0``, which gives
 the same bits as ``np.where(x > 0, x, 0.0)`` at lower cost: fmax maps NaN
@@ -52,6 +62,8 @@ value unchanged.
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -190,12 +202,26 @@ def _emit(value: np.ndarray, inputs: tuple, pull: Callable) -> Tensor:
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _ones(n: int) -> np.ndarray:
+    """A read-only vector of n ones, shared by every bias sum over n rows."""
+    ones = np.ones(n)
+    ones.setflags(write=False)
+    return ones
+
+
 class _RowSum:
     """A pull's gradient for an operand that sums a per-row term over the
     leading batch axis: ``left.T @ right`` (matmul's right operand) or, with
-    no ``right``, ``left.sum(axis=0)`` (a broadcast bias). The reverse pass
-    reduces it whole, or per row group for a leaf when grouping, writing a
-    leaf's first contribution straight into its slot (``out``)."""
+    no ``right``, the column sums of a 2-D ``left`` (a broadcast bias). The
+    reverse pass reduces it whole, or per row group for a leaf when grouping,
+    writing a leaf's first contribution straight into its slot (``out``).
+
+    Both forms go through BLAS; a bias sum is ``ones @ left``, which
+    re-associates the sum (see the module docstring). ``total()`` and
+    ``total(out)``, like ``split(k)`` and ``split(k, out)``, make the same
+    BLAS call, so a packed gradient and a separately computed one stay
+    bit-identical."""
 
     __slots__ = ("left", "right")
 
@@ -206,15 +232,12 @@ class _RowSum:
     def total(self, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The flat [size] sum; written into ``out``, and ``out`` returned,
         when given."""
-        if out is None:
-            if self.right is None:
-                return self.left.sum(axis=0).reshape(-1)
-            return (self.left.T @ self.right).reshape(-1)
         if self.right is None:
-            self.left.sum(axis=0, out=out.reshape(self.left.shape[1:]))
-        else:
-            np.matmul(self.left.T, self.right,
-                      out=out.reshape(self.left.shape[1], self.right.shape[1]))
+            return np.matmul(_ones(self.left.shape[0]), self.left, out=out)
+        if out is None:
+            return (self.left.T @ self.right).reshape(-1)
+        np.matmul(self.left.T, self.right,
+                  out=out.reshape(self.left.shape[1], self.right.shape[1]))
         return out
 
     def split(self, k: int, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -223,9 +246,16 @@ class _RowSum:
         rows = self.left.shape[0]
         if rows % k:
             raise ShapeError(f"gradients: {rows} batch rows do not split into {k} row groups")
-        left = self.left.reshape(rows // k, k, -1)
         if self.right is None:
-            return left.sum(axis=0, out=out)
+            w = self.left.shape[1]
+            # row j of [rows // k, k * w] holds batch rows j*k .. j*k + k - 1
+            # side by side, so column block g sums rows g, g + k, g + 2k, ...
+            sums = (_ones(rows // k) @ self.left.reshape(rows // k, k * w)).reshape(k, w)
+            if out is None:
+                return sums
+            np.copyto(out, sums)
+            return out
+        left = self.left.reshape(rows // k, k, -1)
         right = self.right.reshape(rows // k, k, -1)
         left, right = left.transpose(1, 2, 0), right.transpose(1, 0, 2)
         if out is None:
@@ -297,7 +327,7 @@ def _add_fold(g: np.ndarray, view: tuple, fold: int):
     if fold == _SAME:
         return g
     if fold == _ROWS:
-        return _RowSum(g.reshape(view))
+        return _RowSum(g.reshape(view[0], math.prod(view[1:])))
     return g.reshape(view).sum(axis=0).reshape(-1)
 
 
@@ -547,13 +577,15 @@ def pack_params(params: Sequence[Tensor]) -> np.ndarray:
 
 
 def load_params(params: Sequence[Tensor], flat: np.ndarray):
-    """Write a flat vector back into parameter tensors, in order."""
+    """Write a flat vector back into parameter tensors, in order. A vector
+    of the wrong length raises ShapeError before any parameter is written."""
+    total = sum(p.size for p in params)
+    if flat.size != total:
+        raise ShapeError(f"load_params: vector length {flat.size} != total parameter size {total}")
     offset = 0
     for p in params:
         p.data[:] = flat[offset:offset + p.size]
         offset += p.size
-    if offset != flat.size:
-        raise ShapeError(f"load_params: vector length {flat.size} != total parameter size {offset}")
 
 
 def grad_check(model: Callable[[], Tensor], params: Sequence[Tensor],
@@ -561,8 +593,10 @@ def grad_check(model: Callable[[], Tensor], params: Sequence[Tensor],
     """Compare analytic gradients against central finite differences.
 
     ``model`` is a closure over ``params`` returning a scalar loss. Probes
-    ``probe_count`` random coordinates of the requires_grad parameters and
-    returns max |analytic - central| / max(1, |analytic|) over them.
+    ``min(probe_count, coordinates)`` distinct random coordinates of the
+    requires_grad parameters, so a count above the number of coordinates
+    probes each once, and returns max |analytic - central| / max(1, |analytic|)
+    over them.
 
     Probes whose evaluations hit a relu input at exactly 0 are skipped (the
     subgradient point has no meaningful finite difference); if every probe

@@ -133,6 +133,17 @@ class TestOtherCommands:
         line = [l for l in out.splitlines() if l.startswith("max_rel_err=")][0]
         assert float(line.split("=")[1]) < 1e-5
 
+    def test_grad_check_prints_probes_made(self, capsys, monkeypatch):
+        # a 15-coordinate model: more probes than coordinates probe each once
+        monkeypatch.delenv("AGVM_SEED", raising=False)
+        code, out, _ = run_main(
+            ["grad-check", "--probes=100000", "--input_dim=2", "--trunk_widths=2",
+             "--levels=1", "--pyramid=false", "--head_width=2", "--output_dim=1",
+             "--n_samples=16", "--batch_size=8", "--total_iterations=20",
+             "--warmup_iters=5"], capsys)
+        assert code == 0
+        assert "probes=15" in out.splitlines()
+
     def test_oracle_check(self, capsys):
         code, out, _ = run_main(["oracle-check", "--resamples", "100"], capsys)
         assert code == 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from agvm.models import ModelConfig, SyntheticModel, TwoBlockLinearModel, make_dataset
-from agvm.tensor import (ShapeError, TapeError, Tensor, add, grad_check,
+from agvm.tensor import (ShapeError, TapeError, Tensor, _RowSum, add, grad_check,
                          gradients, load_params, masked_select, matmul,
                          multiply, new_graph, no_grad, pack_params, relu,
                          relu_kink_seen, reset_relu_kink, squared_error)
@@ -453,6 +453,15 @@ class TestParamPacking:
         with pytest.raises(ShapeError):
             load_params([a], np.zeros(3))
 
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_wrong_length_writes_nothing(self, length):
+        a = Tensor(np.arange(3.0), requires_grad=True)
+        b = Tensor([7.0, 8.0], requires_grad=True)
+        with pytest.raises(ShapeError, match="vector length"):
+            load_params([a, b], np.full(length, -1.0))
+        np.testing.assert_array_equal(a.data, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(b.data, [7.0, 8.0])
+
 
 # ---- relu kernel: the same bits as np.where(x > 0, x, 0.0) ----
 
@@ -702,3 +711,35 @@ class TestPackedGradients:
             got = gradients(_mlp_loss(x, y, *params), wrt, row_groups=k)
             assert np.array_equal(got[2], np.zeros_like(got[2]))
             assert all(np.all(np.isfinite(g)) for g in got)
+
+
+# ---- bias sums: column sums of [rows, w] as a ones-vector product ----
+
+ROW_SPLITS = st.integers(1, 64).flatmap(lambda rows: st.tuples(
+    st.just(rows), st.sampled_from([k for k in range(1, rows + 1) if rows % k == 0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROW_SPLITS, st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-3, 1.0, 1e6]))
+def test_bias_sums(rows_k, w, seed, scale):
+    rows, k = rows_k
+    left = np.random.default_rng(seed).normal(0.0, scale, (rows, w))
+    bias = _RowSum(left)
+    size = np.abs(left).sum(axis=0)
+    total = bias.total()
+    assert total.shape == (w,)
+    assert np.all(np.abs(total - left.sum(axis=0)) <= 1e-13 * size)
+    packed = np.full(w + 3, np.nan)
+    assert np.array_equal(_bits(bias.total(packed[2:2 + w])), _bits(total))
+    for groups in sorted({k, rows}):
+        split = bias.split(groups)
+        assert split.shape == (groups, w)
+        for g in range(groups):
+            want = left[g::groups].sum(axis=0)
+            assert np.all(np.abs(split[g] - want) <= 1e-13 * np.abs(left[g::groups]).sum(axis=0))
+        assert np.all(np.abs(split.sum(axis=0) - total) <= 1e-13 * size)
+        packed = np.full((groups, w + 3), np.nan)
+        slot = packed[:, 1:1 + w]
+        assert bias.split(groups, slot) is slot
+        assert np.array_equal(_bits(slot), _bits(split))
