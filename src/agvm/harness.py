@@ -196,6 +196,7 @@ class ExperimentConfig:
         try:
             model = self.model_config()
             model.validate()
+            bad.extend(self._oversized(model))
         except ConfigError as exc:
             bad.append(str(exc))
         if model is not None and not 0 <= self.anchor < model.module_count:
@@ -203,6 +204,29 @@ class ExperimentConfig:
                        f"{model.module_count} modules")
         if bad:
             raise ConfigError("invalid experiment config: " + "; ".join(bad))
+
+    def _oversized(self, model: ModelConfig) -> list:
+        """A violation naming each dataset, parameter or per-step noise array
+        of the (valid) model that would hold more elements than numpy can
+        index, by the keys that size it. The counts are Python integers, so
+        the config is rejected before anything is allocated."""
+        widths = (model.input_dim,) + tuple(model.trunk_widths)
+        head_in = model.head_width if model.pyramid else widths[-1]
+        rows = model.levels * model.proposals * self.batch_size     # noise rows per step
+        arrays = {
+            "n_samples x input_dim": self.n_samples * model.input_dim,
+            "n_samples x output_dim": self.n_samples * model.output_dim,
+            "input_dim x output_dim": model.input_dim * model.output_dim,
+            "input_dim x trunk_widths": max(a * b for a, b in zip(widths, widths[1:])),
+            "trunk_widths x head_width": widths[-1] * model.head_width,
+            "head_width x head_width": model.head_width ** 2 if model.pyramid else 0,
+            "head_width x output_dim": model.head_width * model.output_dim,
+            "levels x proposals x batch_size x head input": rows * head_in,
+            "levels x proposals x batch_size x output_dim": rows * model.output_dim,
+        }
+        limit = np.iinfo(np.intp).max
+        over = [f"{keys} = {count}" for keys, count in arrays.items() if count > limit]
+        return [f"arrays would exceed numpy's {limit} elements: " + ", ".join(over)] if over else []
 
     def _ablation_fields(self) -> dict:
         """Model-field overrides implied by the ablation arm."""
@@ -270,10 +294,8 @@ def _coerce(name: str, kind, raw: str):
     return raw
 
 
-_FIELD_TYPES = {f.name: (tuple if f.name in ("trunk_widths", "milestones") else f.type)
-                for f in fields(ExperimentConfig)}
-_TYPE_LOOKUP = {"int": int, "float": float, "bool": bool, "str": str, "tuple": tuple,
-                int: int, float: float, bool: bool, str: str, tuple: tuple}
+# each key is coerced to the type of its default
+_FIELD_KINDS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
 def config_from_pairs(pairs: dict, base: Optional[ExperimentConfig] = None) -> ExperimentConfig:
@@ -281,10 +303,9 @@ def config_from_pairs(pairs: dict, base: Optional[ExperimentConfig] = None) -> E
     cfg = base or ExperimentConfig()
     updates = {}
     for key, raw in pairs.items():
-        if key not in _FIELD_TYPES:
+        if key not in _FIELD_KINDS:
             raise ConfigError(f"unknown config key {key!r}")
-        kind = _TYPE_LOOKUP[_FIELD_TYPES[key]]
-        updates[key] = _coerce(key, kind, str(raw))
+        updates[key] = _coerce(key, _FIELD_KINDS[key], str(raw))
     return replace(cfg, **updates)
 
 
@@ -381,7 +402,7 @@ class _Runner:
     def batch_loss_and_grad(self, idx: np.ndarray, t: int):
         """One forward/backward over the whole mini-batch; (loss, flat grad)."""
         loss = self.forward(idx, t)
-        return float(loss.data[0]), gradients(loss, self.model.params).packed
+        return float(loss.data), gradients(loss, self.model.params).packed
 
     def grouped_loss_and_grad(self, idx: np.ndarray, t: int):
         """One whole-batch backward split by odd/even rows; (loss, flat grad,
@@ -397,7 +418,7 @@ class _Runner:
         g1, g2 = halves
         grad = (g1 + g2) / 2.0
         groups = GroupedGradients.from_half_means(g1, g2, grad, self.partition, len(idx))
-        return float(loss.data[0]), grad, groups
+        return float(loss.data), grad, groups
 
     def trace_rows(self, t: int, loss: float, groups: GroupedGradients,
                    mu: np.ndarray, eta: float) -> list:

@@ -281,7 +281,7 @@ class SyntheticModel:
         if x.ndim != 2 or t.ndim != 2 or x.shape[0] != t.shape[0]:
             raise ConfigError(f"inputs {x.shape} and targets {t.shape} must be 2-D with equal batch")
         batch, k, o = x.shape[0], c.proposals, c.output_dim
-        stacked_t = t if k == 1 else Tensor(np.tile(t.value, (k, 1)))
+        stacked_t = t if k == 1 else Tensor(np.tile(t.data, (k, 1)))
 
         h = x
         for w, b in self._trunk:

@@ -1,12 +1,14 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 The operation set is the smallest one that supports the synthetic model
-suite: matmul, add, multiply, relu, squared_error and masked_select.
-Elementwise binaries take equal shapes, broadcast one side over a single
-leading batch dimension (``[b, d] op [d]``), or repeat a 2-D ``[r, d]``
-side over the K >= 2 row blocks of a ``[K*r, d]`` side (output row
-``k*r + j`` uses row j of the repeated side, whose gradient is the sum of
-the K blocks). Anything richer raises ShapeError.
+suite: matmul, add, multiply, relu, squared_error and masked_select. A
+tensor's ``data`` is one numpy array at the tensor's shape; every primitive
+and every pull reads and returns arrays at their own shapes. Elementwise
+binaries take equal shapes, broadcast a ``[d]`` side over the rows of a
+``[b, d]`` side, or repeat a 2-D ``[r, d]`` side over the K >= 2 row blocks
+of a ``[K*r, d]`` side (output row ``k*r + j`` uses row j of the repeated
+side, whose gradient is the sum of the K blocks). Anything richer raises
+ShapeError.
 
 Graph recording is thread-local: the first recorded operation on a thread
 opens a fresh tape, later operations append to it, and a reverse pass
@@ -36,12 +38,13 @@ adds contributions to non-leaf tensors out of place.
 
 ``gradients(loss, wrt, row_groups)`` is the one reverse pass, and every
 ``wrt`` tensor must be a leaf. It lays the ``wrt`` tensors out side by side
-in one preallocated buffer, ``[total]`` or ``[k, total]``, and writes each
-leaf's first contribution straight into its slot (a matmul with ``out=``)
-and adds later ones in place; only slots that no path reached are zeroed.
-The result is a list of slot views with the buffer as ``.packed``, so a
-caller that wants one flat gradient vector (or the [k, total] row groups)
-takes it without a concatenation or a copy.
+in one preallocated flat buffer, ``[total]`` or ``[k, total]``, and writes
+each leaf's first contribution straight into its slot (a matmul with
+``out=``) and adds later ones in place; only slots that no path reached are
+zeroed. The result is a list of slot views, each shaped like its tensor
+(``[*shape]``, or ``[k, *shape]`` with row groups), with the flat buffer as
+``.packed``, so a caller that wants one flat gradient vector (or the
+[k, total] row groups) takes it without a concatenation or a copy.
 
 Every sum over the batch axis for a leaf's gradient goes through BLAS: a
 matmul's right operand as ``left.T @ right``, a bias as the product of a
@@ -63,7 +66,6 @@ value unchanged.
 from __future__ import annotations
 
 import functools
-import math
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -131,26 +133,20 @@ class no_grad:
 class Tensor:
     """Dense row-major float64 array with optional gradient tracking.
 
-    ``data`` is always flat; ``shape`` carries the logical extents.
+    ``data`` is the array at the tensor's shape; ``shape``, ``size`` and
+    ``ndim`` read it. A C-contiguous float64 input is aliased, not copied.
     """
 
-    __slots__ = ("shape", "data", "requires_grad", "tape")
+    __slots__ = ("data", "requires_grad", "tape")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = np.asarray(values, dtype=np.float64)
-        self.shape = tuple(arr.shape)
-        self.data = np.ascontiguousarray(arr).reshape(-1)
+        self.data = np.asarray(values, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.tape = None
 
-    @classmethod
-    def _wrap(cls, flat: np.ndarray, shape: tuple) -> "Tensor":
-        t = cls.__new__(cls)
-        t.shape = shape
-        t.data = flat
-        t.requires_grad = False
-        t.tape = None
-        return t
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
 
     @property
     def size(self) -> int:
@@ -158,12 +154,7 @@ class Tensor:
 
     @property
     def ndim(self) -> int:
-        return len(self.shape)
-
-    @property
-    def value(self) -> np.ndarray:
-        """The data viewed at its logical shape."""
-        return self.data.reshape(self.shape)
+        return self.data.ndim
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -174,9 +165,13 @@ def _emit(value: np.ndarray, inputs: tuple, pull: Callable) -> Tensor:
 
     One pass over the inputs decides which are tracked and checks that every
     input on a tape is on the active one. The record keeps that mask, and
-    the reverse pass calls ``pull(g, tracked)``.
+    the reverse pass calls ``pull(g, tracked)`` with ``g`` at the output's
+    shape; the pull returns each input's gradient at that input's shape.
     """
-    out = Tensor._wrap(value.reshape(-1), value.shape)
+    if type(value) is not np.ndarray:
+        value = np.asarray(value)       # a ufunc on 0-d arrays gives a numpy scalar
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad, out.tape = value, False, None
     if _LOCAL.no_grad:
         return out
     tape = _LOCAL.tape
@@ -230,19 +225,15 @@ class _RowSum:
         self.right = right
 
     def total(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The flat [size] sum; written into ``out``, and ``out`` returned,
-        when given."""
+        """The sum at the operand's shape; written into ``out``, and ``out``
+        returned, when given."""
         if self.right is None:
             return np.matmul(_ones(self.left.shape[0]), self.left, out=out)
-        if out is None:
-            return (self.left.T @ self.right).reshape(-1)
-        np.matmul(self.left.T, self.right,
-                  out=out.reshape(self.left.shape[1], self.right.shape[1]))
-        return out
+        return np.matmul(self.left.T, self.right, out=out)
 
     def split(self, k: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """[k, size]: row g sums the terms of rows g, g+k, g+2k, ...; written
-        into ``out``, and ``out`` returned, when given."""
+        """[k, *shape]: row g sums the terms of rows g, g+k, g+2k, ...;
+        written into ``out``, and ``out`` returned, when given."""
         rows = self.left.shape[0]
         if rows % k:
             raise ShapeError(f"gradients: {rows} batch rows do not split into {k} row groups")
@@ -257,11 +248,7 @@ class _RowSum:
             return out
         left = self.left.reshape(rows // k, k, -1)
         right = self.right.reshape(rows // k, k, -1)
-        left, right = left.transpose(1, 2, 0), right.transpose(1, 0, 2)
-        if out is None:
-            return np.matmul(left, right).reshape(k, -1)
-        np.matmul(left, right, out=out.reshape(k, left.shape[1], right.shape[2]))
-        return out
+        return np.matmul(left.transpose(1, 2, 0), right.transpose(1, 0, 2), out=out)
 
 
 # How an elementwise operand relates to the output (see _binary_layout).
@@ -269,38 +256,34 @@ _SAME, _ROWS, _BLOCKS = 0, 1, 2
 
 
 def _binary_layout(name: str, a: Tensor, b: Tensor):
-    """Resolve elementwise shapes. Returns (out_shape, view, fold_a, fold_b).
+    """Resolve elementwise shapes. Returns (out_shape, blocks, av, bv,
+    fold_a, fold_b).
 
-    Each side either has the output's shape (_SAME), is broadcast over its
-    single leading batch dimension (_ROWS: ``[b, d] op [d]``), or is a 2-D
+    Each side either has the output's shape (_SAME), is a ``[d]`` side
+    broadcast over the rows of a ``[b, d]`` side (_ROWS), or is a 2-D
     ``[r, d]`` side repeated over the K >= 2 row blocks of a ``[K*r, d]``
-    side (_BLOCKS). ``view`` is the shape at which the full-size side and
-    the incoming gradient meet the other side under numpy broadcasting:
-    ``[K, r, d]`` for row blocks, the output shape otherwise. A folded
-    side's gradient sums the view over its leading axis.
+    side (_BLOCKS). ``blocks`` is ``(K, r, d)`` for row blocks, the shape at
+    which the full-size side (``av`` or ``bv`` is its data viewed so) and
+    the incoming gradient meet the repeated side under numpy broadcasting,
+    and None otherwise, where the sides broadcast as they are. A folded
+    side's gradient sums over the leading axis.
     """
     sa, sb = a.shape, b.shape
     if sa == sb:
-        return sa, sa, _SAME, _SAME
-    if len(sa) == len(sb) + 1 and sa[1:] == sb:
-        return sa, sa, _SAME, _ROWS
-    if len(sb) == len(sa) + 1 and sb[1:] == sa:
-        return sb, sb, _ROWS, _SAME
+        return sa, None, a.data, b.data, _SAME, _SAME
+    if len(sa) == 2 and sa[1:] == sb:
+        return sa, None, a.data, b.data, _SAME, _ROWS
+    if len(sb) == 2 and sb[1:] == sa:
+        return sb, None, a.data, b.data, _ROWS, _SAME
     if len(sa) == len(sb) == 2 and sa[1] == sb[1]:
         rows, big = sorted((sa[0], sb[0]))
         if rows > 0 and big % rows == 0:
-            view = (big // rows, rows, sa[1])
+            blocks = (big // rows, rows, sa[1])
             if sa[0] == big:
-                return sa, view, _SAME, _BLOCKS
-            return sb, view, _BLOCKS, _SAME
+                return sa, blocks, a.data.reshape(blocks), b.data, _SAME, _BLOCKS
+            return sb, blocks, a.data, b.data.reshape(blocks), _BLOCKS, _SAME
     raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not conform (equal, "
-                     "broadcast over one leading batch dimension, or [r, d] repeated "
-                     "over the row blocks of [K*r, d])")
-
-
-def _operand(x: Tensor, view: tuple, fold: int) -> np.ndarray:
-    """``x``'s value shaped to broadcast against the layout's ``view``."""
-    return x.data.reshape(view) if fold == _SAME else x.value
+                     "[b, d] with [d], or [r, d] repeated over the row blocks of [K*r, d])")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -309,56 +292,51 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: operands must be 2-D, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ: {a.shape} vs {b.shape}")
-    av, bv = a.value, b.value
-    out = av @ bv
+    av, bv = a.data, b.data
 
     def pull(g, tracked):
-        gm = g.reshape(out.shape)
-        return ((gm @ bv.T).reshape(-1) if tracked[0] else None,
-                _RowSum(av, gm) if tracked[1] else None)
+        return (g @ bv.T if tracked[0] else None,
+                _RowSum(av, g) if tracked[1] else None)
 
-    return _emit(out, (a, b), pull)
+    return _emit(av @ bv, (a, b), pull)
 
 
-def _add_fold(g: np.ndarray, view: tuple, fold: int):
+def _add_fold(g: np.ndarray, blocks: Optional[tuple], fold: int):
     """add's gradient for one side: ``g`` itself for an equal-shape side
     (see the module docstring), a _RowSum for a bias, the sum of the row
     blocks for a repeated side."""
     if fold == _SAME:
         return g
     if fold == _ROWS:
-        return _RowSum(g.reshape(view[0], math.prod(view[1:])))
-    return g.reshape(view).sum(axis=0).reshape(-1)
+        return _RowSum(g)
+    return g.reshape(blocks).sum(axis=0)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_shape, view, fold_a, fold_b = _binary_layout("add", a, b)
-    out = (_operand(a, view, fold_a) + _operand(b, view, fold_b)).reshape(out_shape)
+    shape, blocks, av, bv, fold_a, fold_b = _binary_layout("add", a, b)
 
     def pull(g, tracked):
-        return (_add_fold(g, view, fold_a) if tracked[0] else None,
-                _add_fold(g, view, fold_b) if tracked[1] else None)
+        return (_add_fold(g, blocks, fold_a) if tracked[0] else None,
+                _add_fold(g, blocks, fold_b) if tracked[1] else None)
 
-    return _emit(out, (a, b), pull)
+    return _emit((av + bv).reshape(shape), (a, b), pull)
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
-    out_shape, view, fold_a, fold_b = _binary_layout("multiply", a, b)
-    av, bv = _operand(a, view, fold_a), _operand(b, view, fold_b)
-    out = (av * bv).reshape(out_shape)
+    shape, blocks, av, bv, fold_a, fold_b = _binary_layout("multiply", a, b)
 
     def pull(g, tracked):
-        gm = g.reshape(view)
+        gm = g if blocks is None else g.reshape(blocks)
         ga = gb = None
         if tracked[0]:
             ga = gm * bv
-            ga = (ga if fold_a == _SAME else ga.sum(axis=0)).reshape(-1)
+            ga = ga.reshape(shape) if fold_a == _SAME else ga.sum(axis=0)
         if tracked[1]:
             gb = gm * av
-            gb = (gb if fold_b == _SAME else gb.sum(axis=0)).reshape(-1)
+            gb = gb.reshape(shape) if fold_b == _SAME else gb.sum(axis=0)
         return ga, gb
 
-    return _emit(out, (a, b), pull)
+    return _emit((av * bv).reshape(shape), (a, b), pull)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -375,7 +353,7 @@ def relu(a: Tensor) -> Tensor:
     def pull(g, tracked):
         return (g * (out > 0.0),)
 
-    return _emit(out.reshape(a.shape), (a,), pull)
+    return _emit(out, (a,), pull)
 
 
 def squared_error(pred: Tensor, target: Tensor) -> Tensor:
@@ -383,42 +361,33 @@ def squared_error(pred: Tensor, target: Tensor) -> Tensor:
     if pred.shape != target.shape:
         raise ShapeError(f"squared_error: shapes differ: {pred.shape} vs {target.shape}")
     diff = pred.data - target.data
-    n = pred.size
-    out = np.asarray(np.dot(diff, diff) / n)
+    flat = diff.reshape(-1)
+    n = flat.size
+    out = np.dot(flat, flat) / n
 
     def pull(g, tracked):
-        scale = 2.0 * g[0] / n
+        scale = 2.0 * g / n
         gp = scale * diff
         return (gp if tracked[0] else None), (-gp if tracked[1] else None)
 
     return _emit(out, (pred, target), pull)
 
 
-def masked_select(a: Tensor, mask) -> Tensor:
-    """Gather the elements of ``a`` where ``mask`` is true into a 1-D tensor.
-
-    ``mask`` may be a boolean numpy array or a 0/1 Tensor of the same shape.
-    The mask is a constant: no gradient flows to it.
+def masked_select(a: Tensor, mask: np.ndarray) -> Tensor:
+    """Gather the elements of ``a`` where the boolean array ``mask``, of
+    ``a``'s shape, is true into a 1-D tensor, in row-major order. The mask
+    is a constant: no gradient flows to it.
     """
-    if isinstance(mask, Tensor):
-        if mask.requires_grad or mask.tape is not None:
-            raise ShapeError("masked_select: mask must be a constant tensor")
-        mask_flat = mask.data != 0.0
-        mask_shape = mask.shape
-    else:
-        m = np.asarray(mask)
-        mask_flat = m.reshape(-1).astype(bool)
-        mask_shape = tuple(m.shape)
-    if mask_shape != a.shape:
-        raise ShapeError(f"masked_select: mask shape {mask_shape} does not match data shape {a.shape}")
-    kept = a.data[mask_flat]
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != a.shape:
+        raise ShapeError(f"masked_select: mask shape {mask.shape} does not match data shape {a.shape}")
+    kept = a.data[mask]
     if kept.size == 0:
         raise ShapeError("masked_select: mask keeps no elements")
-    n = a.size
 
     def pull(g, tracked):
-        ga = np.zeros(n)
-        ga[mask_flat] = g
+        ga = np.zeros(a.shape)
+        ga[mask] = g
         return (ga,)
 
     return _emit(kept, (a,), pull)
@@ -428,7 +397,7 @@ def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0) -> set:
     """Reverse pass over tape records.
 
     ``slots`` maps id(leaf) to the array that leaf's gradient is written
-    into: flat [size], or [k, size] with ``row_groups`` = k > 0, row g
+    into: [*shape], or [k, *shape] with ``row_groups`` = k > 0, row g
     summing the contributions of batch rows g, g+k, g+2k, ... A leaf's first
     contribution is written straight into its slot and later ones are added
     in place; leaves without a slot are skipped. Non-leaf contributions are
@@ -436,7 +405,7 @@ def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0) -> set:
     tensors (an add passes its gradient through). Returns the set of ids of
     the slotted leaves reached.
     """
-    grads = {id(loss): np.ones(1)}
+    grads = {id(loss): np.ones(())}
     reached = set()
     for out, inputs, pull, tracked in reversed(records):
         got = grads.get(id(out))
@@ -474,7 +443,8 @@ def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0) -> set:
 
 class Gradients(list):
     """The gradients ``gradients`` returns, in ``wrt`` order. Every entry is
-    a view of its own slot in one packed buffer, ``packed``."""
+    a view, at its tensor's shape, of its own slot in one flat packed
+    buffer, ``packed``."""
 
     __slots__ = ("packed",)
 
@@ -524,9 +494,10 @@ def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = N
     One reverse pass writes every gradient into its slot of one packed
     buffer, the ``wrt`` tensors laid out side by side in order: ``[total]``
     without row groups, ``[k, total]`` with ``row_groups`` = k. The result
-    is a list whose entries are views of those slots (flat [size], or
-    [k, size]) and whose ``packed`` attribute is the buffer itself, so a
-    caller that wants one flat vector takes ``.packed`` with no concatenation.
+    is a list whose entries are views of those slots at their tensors'
+    shapes (``[*shape]``, or ``[k, *shape]``) and whose ``packed`` attribute
+    is the flat buffer itself, so a caller that wants one flat vector takes
+    ``.packed`` with no concatenation.
     No two entries share memory: a tensor listed twice gets two equal slots.
     Thread-safe against other graphs sharing the same leaves; missing paths
     yield zeros. Consumes the tape; a non-leaf ``wrt`` raises TapeError.
@@ -549,15 +520,16 @@ def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = N
     if any(p.tape is not None for p in wrt):
         raise TapeError("gradients: every wrt tensor must be a leaf")
     records = _consume(loss)
-    total = sum(p.size for p in wrt)
-    packed = np.empty((k, total) if k else total)
+    lead = (k,) if k else ()
+    packed = np.empty(lead + (sum(p.size for p in wrt),))
     out = Gradients()
     out.packed = packed
     slots = {}
     end = 0
     for p in wrt:
         start, end = end, end + p.size
-        slot = packed[:, start:end] if k else packed[start:end]
+        # splitting the contiguous last axis of a slice is always a view
+        slot = packed[..., start:end].reshape(lead + p.shape)
         out.append(slot)
         slots.setdefault(id(p), slot)
     reached = _walk(records, loss, slots, k)
@@ -572,8 +544,8 @@ def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = N
 
 
 def pack_params(params: Sequence[Tensor]) -> np.ndarray:
-    """Concatenate parameter data into one flat vector (copy)."""
-    return np.concatenate([p.data for p in params]) if params else np.zeros(0)
+    """Concatenate the raveled parameter data into one flat vector (copy)."""
+    return np.concatenate([p.data.ravel() for p in params]) if params else np.zeros(0)
 
 
 def load_params(params: Sequence[Tensor], flat: np.ndarray):
@@ -584,7 +556,7 @@ def load_params(params: Sequence[Tensor], flat: np.ndarray):
         raise ShapeError(f"load_params: vector length {flat.size} != total parameter size {total}")
     offset = 0
     for p in params:
-        p.data[:] = flat[offset:offset + p.size]
+        p.data[...] = flat[offset:offset + p.size].reshape(p.shape)
         offset += p.size
 
 
@@ -605,36 +577,38 @@ def grad_check(model: Callable[[], Tensor], params: Sequence[Tensor],
     if probe_count < 1:
         raise ValueError("grad_check: probe_count must be >= 1")
     live = [p for p in params if p.requires_grad]
-    coords = [(i, j) for i, p in enumerate(live) for j in range(p.size)]
+    # a leaf's data is C-contiguous, so each flat view writes through to it;
+    # coordinate c is entry c of the packed gradient
+    coords = [(flat, j) for flat in (p.data.reshape(-1) for p in live)
+              for j in range(flat.size)]
     if not coords:
         return 0.0
 
     reset_relu_kink()
     loss = model()
-    if not np.isfinite(loss.data[0]):
+    if not np.isfinite(loss.data):
         raise ValueError("grad_check: model produced a non-finite loss")
     kink_at_base = relu_kink_seen()
-    analytic = gradients(loss, live)
+    analytic = gradients(loss, live).packed
 
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(coords), size=min(probe_count, len(coords)), replace=False)
     worst = 0.0
     for c in picks:
-        i, j = coords[c]
-        p = live[i]
-        saved = p.data[j]
+        flat, j = coords[c]
+        saved = flat[j]
         reset_relu_kink()
         with no_grad():
-            p.data[j] = saved + step
-            f_plus = model().data[0]
-            p.data[j] = saved - step
-            f_minus = model().data[0]
-            p.data[j] = saved
+            flat[j] = saved + step
+            f_plus = model().data
+            flat[j] = saved - step
+            f_minus = model().data
+            flat[j] = saved
         if kink_at_base or relu_kink_seen():
             continue
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise ValueError("grad_check: model produced a non-finite loss during probing")
         fd = (f_plus - f_minus) / (2.0 * step)
-        a = analytic[i][j]
+        a = analytic[c]
         worst = max(worst, abs(a - fd) / max(1.0, abs(a)))
     return worst

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import agvm
+import agvm.harness
 from agvm.cli import main
 
 FAST_ARGS = ["--total_iterations=30", "--batch_size=16", "--n_samples=128",
@@ -93,6 +94,32 @@ class TestInvalidValues:
         assert err.startswith("error: ")
         assert "Traceback" not in out + err
         assert "status=" not in out
+
+
+class TestOversizedSizeKeys:
+    # each value sizes an array beyond the elements numpy can index
+    @pytest.mark.parametrize("key,value", [
+        ("proposals", "99999999999999999999999"), ("input_dim", "99999999999999999999999"),
+        ("head_width", "99999999999999999999999"), ("output_dim", "99999999999999999999999"),
+        ("n_samples", "99999999999999999999999"),
+        # divisible by 2^(levels-1), so only its size is wrong
+        ("trunk_widths", "80000000000000000000000"),
+    ])
+    def test_rejected_by_key_before_anything_is_built(self, key, value, capsys, monkeypatch):
+        monkeypatch.delenv("AGVM_SEED", raising=False)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the dataset was built for an oversized config")
+
+        monkeypatch.setattr(agvm.harness, "make_dataset", unreachable)
+        code, out, err = run_main(["train", "--total_iterations=2", "--warmup_iters=0",
+                                   "--n_samples=16", "--batch_size=8", f"--{key}={value}"],
+                                  capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert key in err and "exceed numpy" in err
+        assert "Traceback" not in out + err
+        assert out == ""
 
 
 class TestInvalidOracleCheck:

@@ -424,7 +424,7 @@ def two_half_passes(runner, idx, t):
         m = None if masks is None else masks[offset::2]
         nz = None if noise is None else noise[:, :, offset::2, :]
         loss = runner.model.loss_given_noise(x[offset::2], y[offset::2], m, nz)
-        halves.append((float(loss.data[0]), np.concatenate(gradients(loss, runner.model.params))))
+        halves.append((float(loss.data), gradients(loss, runner.model.params).packed))
     return halves
 
 
@@ -456,10 +456,10 @@ class TestMaskSeed:
         runner = harness._Runner(ExperimentConfig(**FAST, **arm))
         for t in (0, 3):
             idx = runner.draw_batch()
-            got = runner.forward(idx, t).data[0]
+            got = runner.forward(idx, t).data
             drawn = runner.model.draw_noise(real(runner.config.seed, t), len(idx))
             want = runner.model.loss_given_noise(runner.inputs[idx], runner.targets[idx],
-                                                 *drawn).data[0]
+                                                 *drawn).data
             assert got == want
         assert calls == [0, 3]
 

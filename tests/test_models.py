@@ -17,7 +17,7 @@ def plain_mse(model, inputs, targets):
     c = model.config
     h = inputs
     for w, b in model._trunk:
-        h = np.maximum(0.0, h @ w.value + b.value)
+        h = np.maximum(0.0, h @ w.data + b.data)
     total = 0.0
     count = 0
     width = c.trunk_widths[-1]
@@ -25,13 +25,13 @@ def plain_mse(model, inputs, targets):
         f = h
         wdt = width
         for _ in range(lvl):
-            f = f @ model._halvers[wdt].value
+            f = f @ model._halvers[wdt].data
             wdt //= 2
         if c.pyramid:
             w, b = model._laterals[lvl]
-            f = np.maximum(0.0, f @ w.value + b.value)
+            f = np.maximum(0.0, f @ w.data + b.data)
         (w1, b1), (w2, b2) = model._heads[lvl if c.head_mode == "independent" else 0]
-        out = np.maximum(0.0, f @ w1.value + b1.value) @ w2.value + b2.value
+        out = np.maximum(0.0, f @ w1.data + b1.data) @ w2.data + b2.data
         total += ((out - targets) ** 2).sum()
         count += out.size
     return total / count
@@ -152,7 +152,7 @@ class TestForwardLoss:
     def test_unmasked_loss_is_plain_mse(self):
         model = SyntheticModel(ModelConfig(mask_fraction=0.0), seed=3)
         x, y = make_dataset(12, 32, 4, 0.1, 5)
-        got = model.loss(x, y, mask_seed=1).data[0]
+        got = model.loss(x, y, mask_seed=1).data
         np.testing.assert_allclose(got, plain_mse(model, x, y), rtol=1e-12)
 
     def test_mask_keeps_exact_fraction(self):
@@ -187,16 +187,16 @@ class TestForwardLoss:
             (w1, b1), (w2, b2) = model._heads[0]
             h = x
             for w, b in model._trunk:
-                h = np.maximum(0.0, h @ w.value + b.value)
-            pred = np.maximum(0.0, h @ w1.value + b1.value) @ w2.value + b2.value
-        assert model.loss(x, pred, mask_seed=11).data[0] == 0.0
+                h = np.maximum(0.0, h @ w.data + b.data)
+            pred = np.maximum(0.0, h @ w1.data + b1.data) @ w2.data + b2.data
+        assert model.loss(x, pred, mask_seed=11).data == 0.0
         masked = SyntheticModel(replace(cfg, mask_fraction=0.6), seed=2)
-        assert masked.loss(x, pred, mask_seed=11).data[0] == 0.0
+        assert masked.loss(x, pred, mask_seed=11).data == 0.0
 
     def test_mask_fraction_changes_the_loss(self):
         x, y = make_dataset(6, 32, 4, 0.1, 5)
         full, masked = (SyntheticModel(ModelConfig(mask_fraction=p), seed=3)
-                        .loss(x, y, mask_seed=2).data[0] for p in (0.0, 0.75))
+                        .loss(x, y, mask_seed=2).data for p in (0.0, 0.75))
         assert full != masked
 
     def test_batch_mismatch_rejected(self):
@@ -282,10 +282,10 @@ class TestStackedProposals:
         x, y = make_dataset(6, 32, 4, 0.1, 4)
         masks, noise = model.draw_noise(9, 6)
         want = per_proposal_loss(model, x, y, masks, noise)
-        want_value = want.data[0]
+        want_value = want.data
         want_grads = gradients(want, model.params)
         got = model.loss_given_noise(x, y, masks, noise)
-        assert got.data[0] == pytest.approx(want_value, rel=1e-14, abs=0)
+        assert got.data == pytest.approx(want_value, rel=1e-14, abs=0)
         for g, w in zip(gradients(got, model.params), want_grads):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-14 * max(1.0, np.abs(w).max()))
 
@@ -382,5 +382,5 @@ class TestTwoBlockLinear:
         model = TwoBlockLinearModel(4, 3, 2, seed=0)
         assert model.partition.names == ("trunk", "head")
         x = np.random.default_rng(1).normal(0, 1, (6, 4))
-        y = x @ model.params[0].value @ model.params[1].value
-        assert model.loss(x, y, mask_seed=0).data[0] < 1e-28
+        y = x @ model.params[0].data @ model.params[1].data
+        assert model.loss(x, y, mask_seed=0).data < 1e-28

@@ -36,18 +36,18 @@ def _scalar_loss(out, seed=0):
 class TestForwardOps:
     def test_matmul_small(self):
         out = matmul(Tensor([[1, 2], [3, 4]]), Tensor([[1], [1]]))
-        np.testing.assert_array_equal(out.value, [[3], [7]])
+        np.testing.assert_array_equal(out.data, [[3], [7]])
 
     def test_relu(self):
         out = relu(Tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.value, [0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_squared_error_identity(self):
-        assert squared_error(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).data[0] == 0.0
+        assert squared_error(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).data == 0.0
 
     def test_add_broadcasts_bias_over_batch(self):
         out = add(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([10.0, 20.0]))
-        np.testing.assert_array_equal(out.value, [[11.0, 22.0], [13.0, 24.0]])
+        np.testing.assert_array_equal(out.data, [[11.0, 22.0], [13.0, 24.0]])
 
     def test_matmul_shape_error_names_primitive(self):
         with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
@@ -64,7 +64,7 @@ class TestForwardOps:
     def test_masked_select_gathers(self):
         out = masked_select(Tensor([[1.0, 2.0], [3.0, 4.0]]),
                             np.array([[True, False], [False, True]]))
-        np.testing.assert_array_equal(out.value, [1.0, 4.0])
+        np.testing.assert_array_equal(out.data, [1.0, 4.0])
 
     def test_masked_select_empty_mask_errors(self):
         with pytest.raises(ShapeError, match="keeps no elements"):
@@ -136,13 +136,13 @@ class TestBackward:
             return squared_error(h, Tensor(t))
 
         params = weights + biases
-        analytic = np.concatenate(gradients(run(), params))
+        analytic = gradients(run(), params).packed
 
         def f(flat):
             saved = pack_params(params)
             load_params(params, flat)
             with no_grad():
-                val = run().data[0]
+                val = float(run().data)
             load_params(params, saved)
             return val
 
@@ -175,7 +175,7 @@ class TestBackward:
             x = Tensor(rng.normal(0, 1, (8, 4)))
             loss = squared_error(relu(matmul(x, w)), Tensor(rng.normal(0, 1, (8, 4))))
             (g,) = gradients(loss, [w])
-            return loss.data[0], g
+            return float(loss.data), g
 
         l1, g1 = run()
         l2, g2 = run()
@@ -220,7 +220,7 @@ class TestRowGroups:
             sub = gradients(_mlp_loss(x, y, *params, only), params)
             scale = only.sum() / keep.sum()
             for got, want in zip(grouped, sub):
-                assert got.shape == (k, want.size)
+                assert got.shape == (k, *want.shape)
                 np.testing.assert_allclose(got[g], scale * want, rtol=0, atol=1e-14)
         plain = gradients(_mlp_loss(x, y, *params, keep), params)
         for got, want in zip(grouped, plain):
@@ -340,13 +340,14 @@ class TestRowBlocks:
         prim = add if op == "add" else multiply
         out = prim(small, big) if small_first else prim(big, small)
         # squared_error's gradient for out, computed as its pull does
-        weight = (2.0 / out.size) * (out.value - target)
-        value, g_small, g_big = _tiled_reference(op, small.value, big.value, weight)
+        weight = (2.0 / out.size) * (out.data - target)
+        value, g_small, g_big = _tiled_reference(op, small.data, big.data, weight)
         assert out.shape == (5 * k, 3)
-        assert np.array_equal(out.value.view(np.int64), value.view(np.int64))
+        assert np.array_equal(out.data.view(np.int64), value.view(np.int64))
         got_small, got_big = gradients(squared_error(out, Tensor(target)), [small, big])
-        assert np.array_equal(got_small.reshape(5, 3).view(np.int64), g_small.view(np.int64))
-        assert np.array_equal(got_big.reshape(5 * k, 3).view(np.int64), g_big.view(np.int64))
+        assert got_small.shape == (5, 3) and got_big.shape == (5 * k, 3)
+        assert np.array_equal(got_small.view(np.int64), g_small.view(np.int64))
+        assert np.array_equal(got_big.view(np.int64), g_big.view(np.int64))
 
     @pytest.mark.parametrize("prim", [add, multiply])
     @pytest.mark.parametrize("shapes", [((3, 2), (7, 2)), ((4, 2), (6, 2)),
@@ -386,17 +387,17 @@ def test_primitive_gradients_match_finite_differences(name, build, p_shape, c_sh
     p = Tensor(base, requires_grad=True)
     c = Tensor(rng.normal(0, 1, c_shape)) if c_shape else None
 
-    analytic = gradients(build(p, c), [p])[0]
+    analytic = gradients(build(p, c), [p]).packed
 
     def f(flat):
         saved = p.data.copy()
-        p.data[:] = flat
+        p.data[...] = flat.reshape(p.shape)
         with no_grad():
-            val = build(p, c).data[0]
-        p.data[:] = saved
+            val = float(build(p, c).data)
+        p.data[...] = saved
         return val
 
-    fd = fd_gradient(f, p.data.copy())
+    fd = fd_gradient(f, p.data.flatten())
     rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(analytic))
     assert rel.max() < 1e-5, f"{name}: max rel err {rel.max()}"
 
@@ -446,7 +447,7 @@ class TestParamPacking:
         flat = pack_params([a, b])
         np.testing.assert_array_equal(flat, [0, 1, 2, 3, 4, 5, 7, 8])
         load_params([a, b], flat * 2)
-        np.testing.assert_array_equal(b.value, [14.0, 16.0])
+        np.testing.assert_array_equal(b.data, [14.0, 16.0])
 
     def test_length_mismatch(self):
         a = Tensor([1.0], requires_grad=True)
@@ -471,7 +472,7 @@ SPECIAL = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
 
 def _check_relu_bits(x):
     reset_relu_kink()
-    out = relu(Tensor(x)).value
+    out = relu(Tensor(x)).data
     want = np.where(x > 0, x, 0.0)
     assert out.shape == want.shape
     np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
@@ -527,9 +528,14 @@ def test_pull_returns_none_for_constant_operand(name, op, a_shape, b_shape, cons
     _, inputs, pull, tracked = out.tape._records[-1]
     assert inputs == tuple(operands)
     assert list(tracked) == [i != constant for i in range(2)]
-    grads = pull(rng.normal(0, 1, out.size), tracked)
+    grads = pull(rng.normal(0, 1, out.shape), tracked)
     assert grads[constant] is None
     assert grads[1 - constant] is not None
+    # every gradient comes back at its input's shape; a batch-axis sum is
+    # reduced by the reverse pass, so reduce it here
+    got = grads[1 - constant]
+    got = got.total() if isinstance(got, _RowSum) else got
+    assert got.shape == operands[1 - constant].shape
 
 
 @pytest.mark.parametrize("name,op,a_shape,b_shape", BINARY_CASES)
@@ -550,29 +556,14 @@ def test_tracked_gradient_bits_do_not_depend_on_other_operand(name, op, a_shape,
     np.testing.assert_array_equal(with_constant.view(np.int64), with_tracked.view(np.int64))
 
 
-@pytest.mark.parametrize("as_tensor", [False, True])
-def test_masked_select_records_no_mask_operand(as_tensor):
+def test_masked_select_records_no_mask_operand():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     keep = np.array([[True, False, True], [False, True, True]])
-    out = masked_select(a, Tensor(keep.astype(np.float64)) if as_tensor else keep)
+    out = masked_select(a, keep)
     _, inputs, pull, tracked = out.tape._records[-1]
     assert inputs == (a,)
     (ga,) = pull(np.arange(1.0, 5.0), tracked)
-    np.testing.assert_array_equal(ga.reshape(2, 3), [[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]])
-
-
-def test_masked_select_gradient_bits_do_not_depend_on_mask_form():
-    rng = np.random.default_rng(3)
-    x = rng.normal(0, 1, (5, 4))
-    keep = rng.random((5, 4)) < 0.6
-    keep[0, 0] = True
-
-    def grad(mask):
-        a = Tensor(x, requires_grad=True)
-        return gradients(_scalar_loss(masked_select(a, mask), 4), [a])[0]
-
-    np.testing.assert_array_equal(grad(keep).view(np.int64),
-                                  grad(Tensor(keep.astype(np.float64))).view(np.int64))
+    np.testing.assert_array_equal(ga, [[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]])
 
 
 # ---- handed-out gradients never share memory ----
@@ -642,6 +633,25 @@ PACKED_CASES = dict(
 )
 
 
+@st.composite
+def model_configs(draw):
+    """Small SyntheticModel configs: every head mode, with and without a
+    pyramid, masks and proposals."""
+    pyramid = draw(st.booleans())
+    return ModelConfig(
+        input_dim=draw(st.integers(1, 6)),
+        trunk_widths=draw(st.sampled_from([(4,), (8,), (6, 8)])),
+        levels=draw(st.integers(1, 3)) if pyramid else 1,
+        head_width=draw(st.integers(1, 5)),
+        output_dim=draw(st.integers(1, 3)),
+        head_mode=draw(st.sampled_from(["shared", "independent"])),
+        pyramid=pyramid,
+        mask_fraction=draw(st.sampled_from([0.0, 0.5])),
+        proposals=draw(st.integers(1, 3)),
+        proposal_noise_std=draw(st.sampled_from([0.0, 0.3])),
+    )
+
+
 class TestPackedGradients:
     @settings(max_examples=25, deadline=None)
     @given(**PACKED_CASES)
@@ -680,11 +690,29 @@ class TestPackedGradients:
         assert got.packed.shape == ((k, width) if k else (width,))
         offset = 0
         for g, p in zip(got, params):
-            assert g.shape == ((k, p.size) if k else (p.size,))
+            assert g.shape == ((k, *p.shape) if k else p.shape)
             assert np.shares_memory(g, got.packed)
-            assert np.array_equal(g, got.packed[..., offset:offset + p.size])
+            assert np.array_equal(g, got.packed[..., offset:offset + p.size].reshape(g.shape))
             offset += p.size
         _assert_no_shared_memory(got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=model_configs(), batch=st.sampled_from([2, 4, 6]),
+           groups=st.sampled_from(["none", "pairs", "samples"]), seed=st.integers(0, 2 ** 16))
+    def test_entries_are_shaped_views_of_packed(self, config, batch, groups, seed):
+        k = {"none": None, "pairs": 2, "samples": batch}[groups]
+        model = SyntheticModel(config, seed=seed)
+        x, y = make_dataset(batch, config.input_dim, config.output_dim, 0.1, seed + 1)
+        got = gradients(model.loss(x, y, mask_seed=seed + 2), model.params, row_groups=k)
+        lead = (k,) if k else ()
+        assert got.packed.shape == lead + (model.partition.total_size,)
+        for g, p in zip(got, model.params):
+            assert g.shape == lead + p.shape
+            assert g.base is got.packed
+        # the raveled entries, side by side, are the packed buffer
+        side_by_side = np.concatenate([g.reshape(lead + (p.size,))
+                                       for g, p in zip(got, model.params)], axis=-1)
+        assert np.array_equal(_bits(side_by_side), _bits(got.packed))
 
     @pytest.mark.parametrize("k", [None, 2])
     def test_repeated_leaf_gets_two_equal_unshared_slots(self, k):

@@ -287,7 +287,7 @@ class TestBruteForceOracle:
         x = rng.normal(0, 1, (12, 4))
         # build targets through the same kernels as the batched forward that
         # yields every per-sample gradient, so the residual is bitwise zero
-        y = (x @ model.params[0].value) @ model.params[1].value
+        y = (x @ model.params[0].data) @ model.params[1].data
         var = oracle_of(model, (x, y), b=4, resamples=100, seed=1)
         np.testing.assert_array_equal(var, [0.0, 0.0])
 
@@ -425,7 +425,7 @@ def per_sample_reference(model, inputs, targets, mask_seed):
         m = None if masks is None else masks[j:j + 1]
         nz = None if noise is None else noise[:, :, j:j + 1, :]
         loss = model.loss_given_noise(inputs[j:j + 1], targets[j:j + 1], m, nz)
-        rows.append(np.concatenate(gradients(loss, model.params)))
+        rows.append(gradients(loss, model.params).packed)
     return np.stack(rows)
 
 
@@ -468,6 +468,5 @@ class TestPerSampleGradients:
         x, y = make_dataset(8, 32, 4, 0.1, 3)
         ps = per_sample_gradients(model, x, y, mask_seed=11)
         masks, noise = model.draw_noise(11, 8)
-        whole = np.concatenate(gradients(model.loss_given_noise(x, y, masks, noise),
-                                         model.params))
+        whole = gradients(model.loss_given_noise(x, y, masks, noise), model.params).packed
         np.testing.assert_allclose(ps.mean(axis=0), whole, rtol=0, atol=1e-12)
