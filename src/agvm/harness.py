@@ -659,7 +659,7 @@ def oracle_check(seed: int = 0, n: Optional[int] = None, b: Optional[int] = None
     estimates = np.zeros(len(names))
     for _ in range(p["resamples"]):
         pick = rng.integers(0, p["n"], size=p["b"])
-        groups = split_groups(per_sample[pick], model.partition)
+        groups = split_groups(per_sample, model.partition, rows=pick)
         estimates += full_variance_estimate(groups, n=p["n"], eta=1.0)
     estimates /= p["resamples"]
 

@@ -12,6 +12,7 @@ parameter so modules of different sizes are comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,32 +77,61 @@ class PhiEstimate:
         return float(self.phi[self.names.index(name)])
 
 
-def split_groups(per_sample_grads, partition: ModulePartition) -> GroupedGradients:
+def split_groups(per_sample_grads, partition: ModulePartition, rows=None) -> GroupedGradients:
     """Split per-sample flat gradients into odd/even half means per module.
 
-    ``per_sample_grads`` is a sequence (or [b, d] array) of flat full-network
-    gradients, one per sample, in batch order. The batch size must be even.
+    ``per_sample_grads`` is a sequence (or [m, d] array) of flat full-network
+    gradients, one per sample. ``rows`` lists the batch's row indices into it
+    in batch order (repeats allowed); None means every row, in order. The
+    batch size (the number of rows used) must be even.
+
+    The odd and even halves are summed into two [d] accumulators that start
+    at +0.0 and add rows ``rows[0::2]`` and ``rows[1::2]`` one at a time in
+    batch order, without gathering the batch. That is the order in which
+    numpy's ``mean(axis=0)`` adds the rows of a [half, d >= 2] array, so the
+    half means are bit-identical to ``per_sample_grads[rows][0::2].mean(axis=0)``
+    and its odd counterpart.
     """
     arr = np.asarray(per_sample_grads, dtype=np.float64)
     if arr.ndim != 2:
         raise GroupingError(f"per-sample gradients must be a list of flat vectors, got shape {arr.shape}")
-    b = arr.shape[0]
+    m, d = arr.shape
+    if d != partition.total_size:
+        raise GroupingError(
+            f"gradient length {d} does not match partition size {partition.total_size}")
+    order = range(m) if rows is None else _batch_rows(rows, m)
+    b = len(order)
     if b < 2 or b % 2 != 0:
         raise GroupingError(
             f"batch size must be even and >= 2 to split into halves, got {b}; "
             "drop or pad the final sample")
-    if arr.shape[1] != partition.total_size:
-        raise GroupingError(
-            f"gradient length {arr.shape[1]} does not match partition size {partition.total_size}")
-    # one pass over the rows: sums[0] adds rows 0, 2, 4, ... and sums[1] rows
-    # 1, 3, 5, ... one after another, as arr[0::2].mean and arr[1::2].mean do
-    # for d >= 2, so the half means are bit-identical to those (numpy sums a
-    # lone strided column pairwise instead)
-    sums = arr.reshape(b // 2, 2, arr.shape[1]).sum(axis=0)
-    g1 = sums[0] / (b // 2)
-    g2 = sums[1] / (b // 2)
-    g = (sums[0] + sums[1]) / b
+    s1 = np.zeros(d)
+    s2 = np.zeros(d)
+    for i in order[0::2]:
+        s1 += arr[i]
+    for i in order[1::2]:
+        s2 += arr[i]
+    g1 = s1 / (b // 2)
+    g2 = s2 / (b // 2)
+    g = (s1 + s2) / b
     return GroupedGradients.from_half_means(g1, g2, g, partition, b)
+
+
+def _batch_rows(rows, m: int) -> list:
+    """``rows`` as a list of ints, each a row index in [0, m); raises
+    GroupingError unless it is a 1-D sequence of integers in range."""
+    try:
+        idx = np.asarray(rows)
+    except (TypeError, ValueError) as exc:
+        raise GroupingError(f"rows must be a 1-D sequence of row indices: {exc}") from None
+    if idx.ndim != 1:
+        raise GroupingError(f"rows must be 1-D, got shape {idx.shape}")
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise GroupingError(f"rows must be integer row indices, got dtype {idx.dtype}")
+    bad = idx[(idx < 0) | (idx >= m)]
+    if bad.size:
+        raise GroupingError(f"row index {bad[0]} is outside [0, {m})")
+    return idx.tolist()
 
 
 def _squared_norm(x: np.ndarray):
@@ -130,11 +160,13 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray, eps_norm: float = 1e-12) -> 
         if mb > 1e150:
             b = b / mb
         aa, bb = _squared_norm(a), _squared_norm(b)
-    na = np.sqrt(aa)
-    nb = np.sqrt(bb)
-    if na < eps_norm or nb < eps_norm or not (np.isfinite(na) and np.isfinite(nb)):
+    na = math.sqrt(aa)
+    nb = math.sqrt(bb)
+    if na < eps_norm or nb < eps_norm or not (math.isfinite(na) and math.isfinite(nb)):
         return 0.0
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    # c is finite: finite squared norms mean finite entries, and |dot| <= na * nb
+    c = float(np.dot(a, b)) / (na * nb)
+    return min(1.0, max(-1.0, c))
 
 
 def phi_estimate(groups: GroupedGradients, eta: float) -> PhiEstimate:

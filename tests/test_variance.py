@@ -87,6 +87,76 @@ class TestSplitGroups:
         for got, want in ((g, ref), (g1, arr[0::2].mean(axis=0)), (g2, arr[1::2].mean(axis=0))):
             assert np.all(np.abs(got - want) <= bound)
 
+    # rows: the batch's row indices into an [m, d] matrix, in batch order
+    MATRIX = np.arange(12.0).reshape(4, 3)
+
+    def test_rows_pick_the_batch(self):
+        groups = split_groups(self.MATRIX, one_module_partition(3), rows=[3, 0, 3, 1])
+        np.testing.assert_array_equal(groups.g1["all"], [9.0, 10.0, 11.0])
+        np.testing.assert_array_equal(groups.g2["all"], [1.5, 2.5, 3.5])
+        assert groups.b == 4
+
+    @pytest.mark.parametrize("rows", [None, [1, 0, 1, 1]])
+    def test_negative_zero_rows_sum_to_positive_zero(self, rows):
+        # the accumulators start at +0.0, as numpy's sum does: -0.0 + +0.0 = +0.0
+        arr = np.full((4, 3), -0.0)
+        groups = split_groups(arr, one_module_partition(3), rows=rows)
+        for half in (groups.g1["all"], groups.g2["all"], groups.g["all"]):
+            assert not np.signbit(half).any()
+        assert not np.signbit(arr[0::2].mean(axis=0)).any()
+
+    def test_rows_of_two_dimensions_rejected(self):
+        with pytest.raises(GroupingError, match=r"1-D, got shape \(2, 2\)"):
+            split_groups(self.MATRIX, one_module_partition(3), rows=[[0, 1], [2, 3]])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(GroupingError, match="1-D sequence"):
+            split_groups(self.MATRIX, one_module_partition(3), rows=[[0], [1, 2]])
+
+    @pytest.mark.parametrize("rows,dtype", [([0.0, 1.0], "float64"), ([True, False], "bool"),
+                                            (["0", "1"], "<U1")])
+    def test_rows_of_non_integer_dtype_rejected(self, rows, dtype):
+        with pytest.raises(GroupingError, match=f"integer row indices, got dtype {dtype}"):
+            split_groups(self.MATRIX, one_module_partition(3), rows=np.array(rows))
+
+    def test_odd_number_of_rows_rejected(self):
+        with pytest.raises(GroupingError, match="even and >= 2.*got 3"):
+            split_groups(self.MATRIX, one_module_partition(3), rows=[0, 1, 2])
+
+    @pytest.mark.parametrize("rows", [[], np.array([], dtype=np.int64)])
+    def test_empty_rows_rejected(self, rows):
+        with pytest.raises(GroupingError, match="even and >= 2.*got 0"):
+            split_groups(self.MATRIX, one_module_partition(3), rows=rows)
+
+    def test_negative_row_rejected_not_wrapped(self):
+        # -1 would index the last row; it is an error instead
+        with pytest.raises(GroupingError, match=r"row index -1 is outside \[0, 4\)"):
+            split_groups(self.MATRIX, one_module_partition(3), rows=np.array([0, -1]))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_row_past_the_end_rejected(self, dtype):
+        with pytest.raises(GroupingError, match=r"row index 4 is outside \[0, 4\)"):
+            split_groups(self.MATRIX, one_module_partition(3), rows=np.array([0, 4], dtype=dtype))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 12), half=st.integers(1, 24), d=st.integers(1, 12),
+           dtype=st.sampled_from([np.int64, np.int32, np.uint16]))
+    def test_rows_sum_like_the_gathered_batch(self, data, m, half, d, dtype):
+        # signed zeros, subnormals and repeated rows (b > m repeats for sure)
+        elements = st.one_of(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            st.floats(-1e-306, 1e-306),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+        arr = data.draw(hnp.arrays(np.float64, (m, d), elements=elements))
+        idx = data.draw(hnp.arrays(dtype, 2 * half, elements=st.integers(0, m - 1)))
+        part = one_module_partition(d)
+        got, want = split_groups(arr, part, rows=idx), split_groups(arr[idx], part)
+        assert got.b == want.b == 2 * half
+        for name in part.names:
+            for attr in ("g1", "g2", "g"):
+                x, y = getattr(got, attr)[name], getattr(want, attr)[name]
+                assert np.array_equal(x.view(np.int64), y.view(np.int64)), (attr, name)
+
     def test_from_half_means(self):
         part = ModulePartition(modules=(("trunk", (0,)), ("head", (1,))), param_sizes=(2, 1))
         g1 = np.array([1.0, 2.0, 3.0])
@@ -113,6 +183,28 @@ def cosine_reference(a, b, eps_norm=1e-12):
         b = b / mb
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
+    if na < eps_norm or nb < eps_norm or not (np.isfinite(na) and np.isfinite(nb)):
+        return 0.0
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+def cosine_numpy_tail(a, b, eps_norm=1e-12):
+    """cosine_similarity with its former numpy scalar tail: np.sqrt,
+    np.isfinite and np.clip on numpy scalars."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    with np.errstate(over="ignore"):
+        aa, bb = variance._squared_norm(a), variance._squared_norm(b)
+    if not (aa < 1e300 and bb < 1e300):
+        ma = float(np.max(np.abs(a), initial=0.0))
+        mb = float(np.max(np.abs(b), initial=0.0))
+        if ma > 1e150:
+            a = a / ma
+        if mb > 1e150:
+            b = b / mb
+        aa, bb = variance._squared_norm(a), variance._squared_norm(b)
+    na = np.sqrt(aa)
+    nb = np.sqrt(bb)
     if na < eps_norm or nb < eps_norm or not (np.isfinite(na) and np.isfinite(nb)):
         return 0.0
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
@@ -153,6 +245,30 @@ class TestCosine:
         for x, y in ((a, b), (b, a), (a, a)):
             got, want = cosine_similarity(x, y), cosine_reference(x, y)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (x, y, got, want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 24),
+           kind=st.sampled_from(["scaled", "zero", "below_eps", "nonfinite"]))
+    def test_bits_match_the_numpy_scalar_tail(self, data, size, kind):
+        def vector():
+            # entries of magnitude 1e-200 .. 1e300: huge ones take the rescale path
+            unit = data.draw(hnp.arrays(np.float64, size, elements=st.floats(-1.0, 1.0)))
+            return 10.0 ** data.draw(st.integers(-200, 300)) * unit
+
+        a, b = vector(), vector()
+        if kind == "zero":
+            a = np.zeros(size)
+        elif kind == "below_eps":
+            a = data.draw(hnp.arrays(np.float64, size, elements=st.floats(-1e-13, 1e-13)))
+        elif kind == "nonfinite":
+            a[data.draw(st.integers(0, size - 1))] = data.draw(
+                st.sampled_from([np.inf, -np.inf, np.nan]))
+        for x, y in ((a, b), (b, a), (a, a)):
+            got = cosine_similarity(x, y)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(cosine_numpy_tail(x, y)).tobytes()
+        if kind != "scaled":
+            assert cosine_similarity(a, b) == 0.0 and cosine_similarity(b, a) == 0.0
 
     @pytest.mark.parametrize("big", [1e150, float(np.nextafter(1e150, np.inf)), 1.004e150,
                                      1e200])
@@ -404,6 +520,39 @@ class TestEstimateAgainstOracle:
         monkeypatch.setattr(variance, "per_sample_gradients", counted)
         harness.oracle_check(seed=3, n=64, b=16, resamples=200)
         assert len(calls) == 1
+
+    # the benchmark size too: at seed 3, n=64 the estimates happen not to move
+    # when a half's rows are summed in reverse order, at seed 0, n=512 they do
+    @pytest.mark.parametrize("seed,n,b,resamples", [(3, 64, 16, 100), (0, 512, 32, 200)])
+    def test_estimates_equal_the_gathered_resample_means(self, monkeypatch, seed, n, b,
+                                                         resamples):
+        # the check sums each resample's rows in place through split_groups;
+        # gathering per_sample[pick] and summing its halves with numpy, by
+        # the same generator calls, gives the same estimates bit for bit
+        from agvm import harness
+        seen = []
+
+        def kept(*args, **kwargs):
+            seen.append(per_sample_gradients(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(harness, "per_sample_gradients", kept)
+        report = harness.oracle_check(seed=seed, n=n, b=b, resamples=resamples)
+        per_sample, = seen
+        p = BENCHMARK
+        part = TwoBlockLinearModel(p["input_dim"], p["hidden_dim"], p["output_dim"],
+                                   seed=seed + 1).partition
+        rng = np.random.default_rng(seed + 3)
+        want = np.zeros(part.h)
+        for _ in range(resamples):
+            batch = per_sample[rng.integers(0, n, size=b)]
+            s1, s2 = batch[0::2].sum(axis=0), batch[1::2].sum(axis=0)
+            groups = GroupedGradients.from_half_means(s1 / (b // 2), s2 / (b // 2),
+                                                      (s1 + s2) / b, part, b)
+            want += full_variance_estimate(groups, n=n, eta=1.0)
+        want /= resamples
+        for i, name in enumerate(part.names):
+            assert report[f"estimate_{name}"] == float(want[i]), name
 
     @pytest.mark.parametrize("kwargs,words", [
         (dict(seed=-1), "seed"), (dict(resamples=99), "resamples"),
