@@ -397,7 +397,10 @@ class _Runner:
         derived only when the model draws randomness with it."""
         seed = _mask_seed(self.config.seed, t) if self.model.draws_noise() else None
         masks, noise = self.model.draw_noise(seed, len(idx))
-        return self.model.loss_given_noise(self.inputs[idx], self.targets[idx], masks, noise)
+        # np.take copies the same rows as fancy indexing, several times
+        # faster when the rows are random and out of cache
+        return self.model.loss_given_noise(np.take(self.inputs, idx, axis=0),
+                                           np.take(self.targets, idx, axis=0), masks, noise)
 
     def batch_loss_and_grad(self, idx: np.ndarray, t: int):
         """One forward/backward over the whole mini-batch; (loss, flat grad)."""

@@ -18,13 +18,25 @@ kept alive nor walked by the next one. Distinct threads therefore build
 and consume independent tapes, and may share leaf tensors as long as they
 only read them.
 
-A consumed tape gives up its records, which breaks the tape -> record ->
-output -> tape reference cycle, so a spent graph is freed by reference
-counting rather than by the cyclic garbage collector. Each thread keeps its
-most recently consumed graph alive until its next reverse pass: the next
-forward pass then allocates around those buffers, and freeing them leaves
-them below live memory, where the allocator reuses them instead of
-returning them to the operating system and faulting them back in.
+A reverse pass consumes its tape record by record: each record is popped
+as it is walked, so its pull closure, and with it the forward arrays the
+closure captured, is freed as soon as that pull has run, and each non-leaf
+gradient is dropped once the record that produced its tensor has been
+walked. The tape -> record -> output -> tape reference cycle is broken, so
+a spent graph is freed by reference counting rather than by the cyclic
+garbage collector, and none of it outlives ``gradients``.
+
+Freed memory stays on the process heap. At import this module raises
+glibc's mmap threshold to 32 MiB and its trim threshold to 256 MiB
+(``mallopt``), so every array below 32 MiB comes from the heap, and what a
+reverse pass frees is reused by the next forward pass instead of being
+returned to the kernel and faulted back in page by page. Freeing during
+the walk and keeping freed memory pay only together: without the
+thresholds, each walk trims the heap top and the next step faults it back.
+The call is skipped where the C library has no ``mallopt`` (not glibc),
+and where the environment already sets ``GLIBC_TUNABLES`` or one of glibc's
+``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` and
+``MALLOC_TOP_PAD_``: allocator choices made at process start win.
 
 Each record stores, next to its output, inputs and pull, a mask of which
 inputs were tracked (required gradients or belonged to the tape) when the
@@ -65,7 +77,9 @@ value unchanged.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import os
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -100,12 +114,33 @@ class Tape:
 
 class _Local(threading.local):
     tape = None             # the tape new records go to
-    spent = None            # the records of the last consumed tape
     no_grad = False
     relu_kink = False
 
 
 _LOCAL = _Local()
+
+# glibc's mallopt parameter numbers, and the environment names with which
+# glibc takes allocator settings at process start
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_ENV = ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+               "MALLOC_TOP_PAD_")
+
+
+def _keep_freed_memory(libc, environ) -> bool:
+    """Set the heap policy of the module docstring through ``libc.mallopt``.
+    Returns False, and sets nothing, where ``libc`` has no ``mallopt`` or
+    ``environ`` names an allocator setting."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None or any(name in environ for name in _MALLOC_ENV):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    return True
+
+
+_keep_freed_memory(ctypes.CDLL(None), os.environ)
 
 
 def relu_kink_seen() -> bool:
@@ -394,7 +429,7 @@ def masked_select(a: Tensor, mask: np.ndarray) -> Tensor:
 
 
 def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0) -> set:
-    """Reverse pass over tape records.
+    """Reverse pass over tape records, popping each one as it is walked.
 
     ``slots`` maps id(leaf) to the array that leaf's gradient is written
     into: [*shape], or [k, *shape] with ``row_groups`` = k > 0, row g
@@ -402,13 +437,15 @@ def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0) -> set:
     contribution is written straight into its slot and later ones are added
     in place; leaves without a slot are skipped. Non-leaf contributions are
     added out of place, since one array may be the gradient of several
-    tensors (an add passes its gradient through). Returns the set of ids of
-    the slotted leaves reached.
+    tensors (an add passes its gradient through), and each is dropped when
+    its tensor's record is walked. Leaves ``records`` empty, and returns the
+    set of ids of the slotted leaves reached.
     """
     grads = {id(loss): np.ones(())}
     reached = set()
-    for out, inputs, pull, tracked in reversed(records):
-        got = grads.get(id(out))
+    while records:
+        out, inputs, pull, tracked = records.pop()
+        got = grads.pop(id(out), None)
         if got is None:
             continue
         for x, gx in zip(inputs, pull(got, tracked)):
@@ -450,11 +487,8 @@ class Gradients(list):
 
 
 def _consume(loss: Tensor) -> list:
-    """Mark the loss's tape consumed and take its records out of it.
-
-    The records replace the thread's previously consumed graph, which is
-    freed here, at the start of the next reverse pass (see module docstring).
-    """
+    """Mark the loss's tape consumed and take its records out of it; the
+    reverse pass frees them as it walks them (see the module docstring)."""
     if loss.shape != ():
         raise ShapeError(f"gradients: loss must be scalar, got shape {loss.shape}")
     tape = loss.tape
@@ -467,7 +501,6 @@ def _consume(loss: Tensor) -> list:
     if _LOCAL.tape is tape:
         _LOCAL.tape = None
     records, tape._records = tape._records, []
-    _LOCAL.spent = records
     return records
 
 

@@ -144,7 +144,8 @@ def _squared_norm(x: np.ndarray):
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray, eps_norm: float = 1e-12) -> float:
     """dot(a,b) / (|a||b|); defined as 0 when either norm is below eps_norm,
-    so a module with vanishing gradient signal reads as maximally noisy."""
+    so a module with vanishing gradient signal reads as maximally noisy, and
+    when either vector holds an inf or a NaN."""
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
@@ -155,6 +156,8 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray, eps_norm: float = 1e-12) -> 
         # rescale huge vectors so the squared sums cannot overflow
         ma = float(np.max(np.abs(a), initial=0.0))
         mb = float(np.max(np.abs(b), initial=0.0))
+        if not (math.isfinite(ma) and math.isfinite(mb)):
+            return 0.0
         if ma > 1e150:
             a = a / ma
         if mb > 1e150:

@@ -464,6 +464,20 @@ class TestMaskSeed:
         assert calls == [0, 3]
 
 
+def test_forward_gathers_the_batch_rows_bit_for_bit(monkeypatch):
+    runner = harness._Runner(ExperimentConfig(**FAST))
+    seen = []
+    monkeypatch.setattr(runner.model, "loss_given_noise",
+                        lambda x, y, masks, noise: seen.append((x, y)))
+    idx = runner.draw_batch()
+    runner.forward(idx, 0)
+    (x, y), = seen
+    for got, full in ((x, runner.inputs), (y, runner.targets)):
+        want = full[idx]
+        assert got.shape == want.shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestGroupedPass:
     @pytest.mark.parametrize("arm", [
         pytest.param({}, id="none"),

@@ -1,6 +1,10 @@
+import ctypes
 import gc
-
 import itertools
+import platform
+import tracemalloc
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from agvm.models import ModelConfig, SyntheticModel, TwoBlockLinearModel, make_dataset
-from agvm.tensor import (ShapeError, TapeError, Tensor, _RowSum, add, grad_check,
-                         gradients, load_params, masked_select, matmul,
+from agvm.tensor import (ShapeError, TapeError, Tensor, _keep_freed_memory, _RowSum,
+                         add, grad_check, gradients, load_params, masked_select, matmul,
                          multiply, new_graph, no_grad, pack_params, relu,
                          relu_kink_seen, reset_relu_kink, squared_error)
 
@@ -261,24 +265,93 @@ class TestRowGroups:
 def test_consumed_graphs_are_freed_without_the_cyclic_gc():
     rng = np.random.default_rng(0)
     params = _mlp_params(rng)
+    w1, b1, w2, b2 = params
     x, y = rng.normal(0, 1, (8, 5)), rng.normal(0, 1, (8, 3))
 
     def live_tensors():
         return sum(isinstance(o, Tensor) for o in gc.get_objects())
 
+    new_graph()     # drop a graph an earlier caller left unconsumed on this thread
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        counts = []
+        before = live_tensors()
         for step in range(50):
-            gradients(_mlp_loss(x, y, *params), params, row_groups=2 if step % 2 else None)
-            counts.append(live_tensors())
+            hidden = relu(add(matmul(Tensor(x), w1), b1))
+            activation = weakref.ref(hidden.data)
+            loss = squared_error(add(matmul(hidden, w2), b2), Tensor(y))
+            del hidden
+            gradients(loss, params, row_groups=2 if step % 2 else None)
+            # of the consumed graph, only the loss the caller holds is alive
+            assert activation() is None, step
+            assert live_tensors() == before + 1, step
+            del loss
     finally:
         if enabled:
             gc.enable()
-    # only the most recently consumed graph is still alive
-    assert max(counts) == counts[0], counts
+
+
+def test_reverse_pass_peak_memory_stays_near_the_forward_activations():
+    # each record's activations are freed once its pull has run, and each
+    # intermediate gradient once consumed, so the walk never holds a
+    # gradient for every layer at once
+    rng = np.random.default_rng(0)
+    rows, width, depth = 256, 64, 24
+    weights = [Tensor(rng.normal(0, width ** -0.5, (width, width)), requires_grad=True)
+               for _ in range(depth)]
+    x = Tensor(rng.normal(0, 1, (rows, width)))
+    layer = rows * width * 8
+    tracemalloc.start()
+    try:
+        h = x
+        for w in weights:
+            h = relu(matmul(h, w))
+        loss = squared_error(h, Tensor(np.zeros((rows, width))))
+        del h
+        forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        packed = gradients(loss, weights).packed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward > depth * 2 * layer          # every matmul and relu output is held
+    assert peak < forward + packed.nbytes + 4 * layer, (peak, forward, packed.nbytes, layer)
+
+
+class TestHeapPolicy:
+    @staticmethod
+    def fake_libc():
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        return types.SimpleNamespace(mallopt=mallopt), calls
+
+    def test_sets_the_mmap_and_trim_thresholds(self):
+        libc, calls = self.fake_libc()
+        assert _keep_freed_memory(libc, {"PATH": "/bin"}) is True
+        # M_MMAP_THRESHOLD = -3 at 32 MiB, M_TRIM_THRESHOLD = -1 at 256 MiB
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_skipped_without_mallopt(self):
+        assert _keep_freed_memory(types.SimpleNamespace(), {}) is False
+
+    @pytest.mark.parametrize("name", ["GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_",
+                                      "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_"])
+    def test_skipped_when_the_environment_sets_the_allocator(self, name):
+        libc, calls = self.fake_libc()
+        assert _keep_freed_memory(libc, {name: "0"}) is False
+        assert calls == []
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    def test_glibc_accepts_both_values(self):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        assert mallopt(-3, 32 << 20) == 1
+        assert mallopt(-1, 256 << 20) == 1
 
 
 class TestNewGraph:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,15 @@ class TestCosine:
             assert np.float64(got).tobytes() == np.float64(cosine_numpy_tail(x, y)).tobytes()
         if kind != "scaled":
             assert cosine_similarity(a, b) == 0.0 and cosine_similarity(b, a) == 0.0
+
+    @pytest.mark.parametrize("other", [1.0, 1e200], ids=["other_plain", "other_rescaled"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_entries_read_as_zero_without_a_warning(self, bad, other):
+        a, b = np.array([bad, 1.0]), np.array([other, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert cosine_similarity(x, y) == 0.0
 
     @pytest.mark.parametrize("big", [1e150, float(np.nextafter(1e150, np.inf)), 1.004e150,
                                      1e200])
