@@ -18,13 +18,37 @@ kept alive nor walked by the next one. Distinct threads therefore build
 and consume independent tapes, and may share leaf tensors as long as they
 only read them.
 
-A reverse pass consumes its tape record by record: each record is popped
-as it is walked, so its pull closure, and with it the forward arrays the
-closure captured, is freed as soon as that pull has run, and each non-leaf
-gradient is dropped once the record that produced its tensor has been
-walked. The tape -> record -> output -> tape reference cycle is broken, so
-a spent graph is freed by reference counting rather than by the cyclic
-garbage collector, and none of it outlives ``gradients``.
+A record holds what its pull reads and nothing else: ``(pull, tracked,
+parents)``. ``parents`` has one entry per input: the index of the record
+that produced it (a non-leaf input, whose tensor carries that index as
+``node``), the leaf tensor itself (a ``requires_grad`` leaf), or None (a
+constant). No record and no pull holds a tensor other than a
+``requires_grad`` leaf, and a pull captures only the arrays its gradients
+read: a matmul or a multiply keeps an operand only when the other one is
+tracked, a relu its own output, a squared_error the difference, a
+masked_select the mask and a shape. So a forward intermediate lives only
+as long as a pull or the caller reads it: a matmul output that feeds a
+bias add, a bias-add output that feeds relu or squared_error, and a
+constant operand such as the proposal noise are freed as soon as the
+model code drops them.
+
+Each record's ``tracked`` mask says which inputs were tracked (required
+gradients or belonged to the tape) when the operation ran; the operation
+checks input provenance in the same pass that builds ``parents``. The
+reverse pass hands that mask to the pull, and a pull computes gradients
+only for tracked inputs and returns None for constant ones: a constant left
+matmul operand (the data batch), a loss target or a loss weight costs no
+kernel. An equal-shape add passes its incoming gradient through uncopied,
+so one array can reach several tensors; the reverse pass adds
+contributions to non-leaf tensors out of place.
+
+A reverse pass consumes its tape record by record, starting at the loss's
+record: each record is popped as it is walked, so its pull closure, and
+with it the forward arrays the closure captured, is freed as soon as that
+pull has run, and each non-leaf gradient is dropped once the record that
+produced its tensor has been walked. Records do not refer to tensors that
+hold the tape, so a spent graph is freed by reference counting rather than
+by the cyclic garbage collector, and none of it outlives ``gradients``.
 
 Freed memory stays on the process heap. At import this module raises
 glibc's mmap threshold to 32 MiB and its trim threshold to 256 MiB
@@ -37,16 +61,6 @@ The call is skipped where the C library has no ``mallopt`` (not glibc),
 and where the environment already sets ``GLIBC_TUNABLES`` or one of glibc's
 ``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` and
 ``MALLOC_TOP_PAD_``: allocator choices made at process start win.
-
-Each record stores, next to its output, inputs and pull, a mask of which
-inputs were tracked (required gradients or belonged to the tape) when the
-operation ran; the operation checks input provenance in the same pass.
-The reverse pass hands that mask to the pull, and a pull computes
-gradients only for tracked inputs and returns None for constant ones: a
-constant left matmul operand (the data batch), a loss target or a loss
-weight costs no kernel. An equal-shape add passes its incoming gradient
-through uncopied, so one array can reach several tensors; the reverse pass
-adds contributions to non-leaf tensors out of place.
 
 ``gradients(loss, wrt, row_groups)`` is the one reverse pass, and every
 ``wrt`` tensor must be a leaf. It lays the ``wrt`` tensors out side by side
@@ -68,11 +82,12 @@ several times slower at large batches. The product re-associates the sum
 ``[r, d]`` side stays a numpy axis-0 sum: its kept axis is wide, where
 numpy is already fast.
 
-relu is ``np.fmax(x, 0.0)`` followed by an in-place ``+= 0.0``, which gives
-the same bits as ``np.where(x > 0, x, 0.0)`` at lower cost: fmax maps NaN
-to 0 and keeps infinities and subnormals, but may return -0.0 for a -0.0
-(or 0.0) input, and adding +0.0 turns -0.0 into +0.0 and leaves every other
-value unchanged.
+relu is ``np.fmax(x, 0.0)``, which gives the same bits as
+``np.where(x > 0, x, 0.0)`` at lower cost: fmax maps NaN to 0 and keeps
+infinities and subnormals, but may return -0.0 for a -0.0 (or 0.0) input.
+So only when the input holds an exact zero, which relu already checks to
+flag a kink, does an in-place ``+= 0.0`` follow: adding +0.0 turns -0.0
+into +0.0 and leaves every other value unchanged.
 """
 
 from __future__ import annotations
@@ -97,9 +112,13 @@ class TapeError(RuntimeError):
 class Tape:
     """Ordered record of primitive applications for one forward pass.
 
-    Records (out, inputs, pull, tracked) are appended in execution order, so
-    walking them in reverse visits the graph in reverse topological order.
-    A tape is consumed by exactly one reverse pass; reuse raises TapeError.
+    Records ``(pull, tracked, parents)`` are appended in execution order, so
+    walking them in reverse visits the graph in reverse topological order,
+    and a taped tensor's ``node`` is its record's index. A record refers to
+    its parents by record index, leaf tensor or None (a constant), never to
+    its own output, so an intermediate lives only as long as a pull or the
+    caller reads it. A tape is consumed by exactly one reverse pass; reuse
+    raises TapeError.
     """
 
     __slots__ = ("_records", "consumed")
@@ -170,14 +189,16 @@ class Tensor:
 
     ``data`` is the array at the tensor's shape; ``shape``, ``size`` and
     ``ndim`` read it. A C-contiguous float64 input is aliased, not copied.
+    A tensor an operation recorded carries its ``tape`` and its record's
+    index there, ``node``; a leaf has neither.
     """
 
-    __slots__ = ("data", "requires_grad", "tape")
+    __slots__ = ("data", "requires_grad", "tape", "node")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = np.asarray(values, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
-        self.tape = None
+        self.tape = self.node = None
 
     @property
     def shape(self) -> tuple:
@@ -198,26 +219,31 @@ class Tensor:
 def _emit(value: np.ndarray, inputs: tuple, pull: Callable) -> Tensor:
     """Wrap an op result, recording it when any input participates in a graph.
 
-    One pass over the inputs decides which are tracked and checks that every
-    input on a tape is on the active one. The record keeps that mask, and
-    the reverse pass calls ``pull(g, tracked)`` with ``g`` at the output's
-    shape; the pull returns each input's gradient at that input's shape.
+    One pass over the inputs decides which are tracked, finds each one's
+    parent entry (record index, leaf or None) and checks that every input on
+    a tape is on the active one. The record keeps the mask and the parents,
+    not the inputs, and the reverse pass calls ``pull(g, tracked)`` with
+    ``g`` at the output's shape; the pull returns each input's gradient at
+    that input's shape.
     """
     if type(value) is not np.ndarray:
         value = np.asarray(value)       # a ufunc on 0-d arrays gives a numpy scalar
     out = Tensor.__new__(Tensor)
-    out.data, out.requires_grad, out.tape = value, False, None
+    out.data, out.requires_grad, out.tape, out.node = value, False, None, None
     if _LOCAL.no_grad:
         return out
     tape = _LOCAL.tape
     if tape is not None and tape.consumed:
         tape = None
     tracked = []
+    parents = []
     for x in inputs:
         if x.tape is None:
             tracked.append(x.requires_grad)
+            parents.append(x if x.requires_grad else None)
         elif x.tape is tape:
             tracked.append(True)
+            parents.append(x.node)
         else:
             raise TapeError(
                 "input tensor belongs to a different or already-consumed tape; "
@@ -228,7 +254,8 @@ def _emit(value: np.ndarray, inputs: tuple, pull: Callable) -> Tensor:
             tape = _LOCAL.tape = Tape()
         out.requires_grad = True
         out.tape = tape
-        tape._records.append((out, inputs, pull, tracked))
+        out.node = len(tape._records)
+        tape._records.append((pull, tracked, parents))
     return out
 
 
@@ -322,18 +349,22 @@ def _binary_layout(name: str, a: Tensor, b: Tensor):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product [m,k] @ [k,n] -> [m,n]."""
+    """2-D matrix product [m,k] @ [k,n] -> [m,n]. The pull keeps an
+    operand only when the other one is tracked (its gradient reads it)."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: operands must be 2-D, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ: {a.shape} vs {b.shape}")
-    av, bv = a.data, b.data
+    value = a.data @ b.data
+    # a taped input always requires grad, so requires_grad is its tracked bit
+    av = a.data if b.requires_grad else None
+    bv = b.data if a.requires_grad else None
 
     def pull(g, tracked):
         return (g @ bv.T if tracked[0] else None,
                 _RowSum(av, g) if tracked[1] else None)
 
-    return _emit(av @ bv, (a, b), pull)
+    return _emit(value, (a, b), pull)
 
 
 def _add_fold(g: np.ndarray, blocks: Optional[tuple], fold: int):
@@ -359,6 +390,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
     shape, blocks, av, bv, fold_a, fold_b = _binary_layout("multiply", a, b)
+    value = (av * bv).reshape(shape)
+    # each side's gradient reads only the other side
+    av, bv = (av if b.requires_grad else None), (bv if a.requires_grad else None)
 
     def pull(g, tracked):
         gm = g if blocks is None else g.reshape(blocks)
@@ -371,7 +405,7 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
             gb = gb.reshape(shape) if fold_b == _SAME else gb.sum(axis=0)
         return ga, gb
 
-    return _emit((av * bv).reshape(shape), (a, b), pull)
+    return _emit(value, (a, b), pull)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -380,10 +414,10 @@ def relu(a: Tensor) -> Tensor:
     NaN maps to 0 and -0.0 to +0.0, as in ``np.where(x > 0, x, 0.0)``.
     """
     x = a.data
+    out = np.fmax(x, 0.0)
     if (x == 0.0).any():
         _LOCAL.relu_kink = True
-    out = np.fmax(x, 0.0)
-    out += 0.0      # fmax may keep -0.0; where gives +0.0
+        out += 0.0      # fmax may keep -0.0 for a zero input; where gives +0.0
 
     def pull(g, tracked):
         return (g * (out > 0.0),)
@@ -419,9 +453,10 @@ def masked_select(a: Tensor, mask: np.ndarray) -> Tensor:
     kept = a.data[mask]
     if kept.size == 0:
         raise ShapeError("masked_select: mask keeps no elements")
+    shape = a.shape
 
     def pull(g, tracked):
-        ga = np.zeros(a.shape)
+        ga = np.zeros(shape)
         ga[mask] = g
         return (ga,)
 
@@ -429,33 +464,37 @@ def masked_select(a: Tensor, mask: np.ndarray) -> Tensor:
 
 
 def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0) -> set:
-    """Reverse pass over tape records, popping each one as it is walked.
+    """Reverse pass over tape records from the loss's, popping each one as it
+    is walked; records after the loss's cannot reach it and are dropped.
 
     ``slots`` maps id(leaf) to the array that leaf's gradient is written
     into: [*shape], or [k, *shape] with ``row_groups`` = k > 0, row g
     summing the contributions of batch rows g, g+k, g+2k, ... A leaf's first
     contribution is written straight into its slot and later ones are added
-    in place; leaves without a slot are skipped. Non-leaf contributions are
+    in place; leaves without a slot are skipped. Pending non-leaf gradients
+    sit in a list indexed by record number, popped in step with the
+    records, so each is dropped when its tensor's record is walked. They are
     added out of place, since one array may be the gradient of several
-    tensors (an add passes its gradient through), and each is dropped when
-    its tensor's record is walked. Leaves ``records`` empty, and returns the
-    set of ids of the slotted leaves reached.
+    tensors (an add passes its gradient through). Leaves ``records`` empty,
+    and returns the set of ids of the slotted leaves reached.
     """
-    grads = {id(loss): np.ones(())}
+    del records[loss.node + 1:]
+    grads = [None] * len(records)
+    grads[-1] = np.ones(())
     reached = set()
     while records:
-        out, inputs, pull, tracked = records.pop()
-        got = grads.pop(id(out), None)
+        pull, tracked, parents = records.pop()
+        got = grads.pop()
         if got is None:
             continue
-        for x, gx in zip(inputs, pull(got, tracked)):
+        for x, gx in zip(parents, pull(got, tracked)):
             if gx is None:
                 continue
-            if x.tape is not None:
+            if type(x) is int:
                 if type(gx) is _RowSum:
                     gx = gx.total()
-                cur = grads.get(id(x))
-                grads[id(x)] = gx if cur is None else cur + gx
+                cur = grads[x]
+                grads[x] = gx if cur is None else cur + gx
                 continue
             slot = slots.get(id(x))
             if slot is None:

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import gc
 import itertools
 import platform
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import agvm.models
 from agvm.models import ModelConfig, SyntheticModel, TwoBlockLinearModel, make_dataset
 from agvm.tensor import (ShapeError, TapeError, Tensor, _keep_freed_memory, _RowSum,
                          add, grad_check, gradients, load_params, masked_select, matmul,
@@ -315,7 +317,9 @@ def test_reverse_pass_peak_memory_stays_near_the_forward_activations():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert forward > depth * 2 * layer          # every matmul and relu output is held
+    # the forward holds every relu output, which its pull reads, plus the
+    # loss's difference, and no matmul output, which no pull reads
+    assert depth * layer < forward < (depth + 2) * layer, (forward, layer)
     assert peak < forward + packed.nbytes + 4 * layer, (peak, forward, packed.nbytes, layer)
 
 
@@ -598,9 +602,10 @@ def test_pull_returns_none_for_constant_operand(name, op, a_shape, b_shape, cons
     operands = [Tensor(rng.normal(0, 1, shape), requires_grad=(i != constant))
                 for i, shape in enumerate((a_shape, b_shape))]
     out = op(*operands)
-    _, inputs, pull, tracked = out.tape._records[-1]
-    assert inputs == tuple(operands)
+    pull, tracked, parents = out.tape._records[-1]
     assert list(tracked) == [i != constant for i in range(2)]
+    for i, (parent, x) in enumerate(zip(parents, operands)):
+        assert parent is (None if i == constant else x)
     grads = pull(rng.normal(0, 1, out.shape), tracked)
     assert grads[constant] is None
     assert grads[1 - constant] is not None
@@ -633,8 +638,8 @@ def test_masked_select_records_no_mask_operand():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     keep = np.array([[True, False, True], [False, True, True]])
     out = masked_select(a, keep)
-    _, inputs, pull, tracked = out.tape._records[-1]
-    assert inputs == (a,)
+    pull, tracked, parents = out.tape._records[-1]
+    assert len(parents) == 1 and parents[0] is a
     (ga,) = pull(np.arange(1.0, 5.0), tracked)
     np.testing.assert_array_equal(ga, [[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]])
 
@@ -812,6 +817,113 @@ class TestPackedGradients:
             got = gradients(_mlp_loss(x, y, *params), wrt, row_groups=k)
             assert np.array_equal(got[2], np.zeros_like(got[2]))
             assert all(np.all(np.isfinite(g)) for g in got)
+
+
+# ---- records keep only what the pulls read ----
+
+def _tensors_held_by(pull):
+    """Every Tensor in a pull's closure cells and defaults, looking into
+    tuples, lists and nested functions."""
+    todo = [pull]
+    found = []
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif isinstance(obj, types.FunctionType):
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            todo.extend(obj.__defaults__ or ())
+            todo.extend((obj.__kwdefaults__ or {}).values())
+    return found
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=model_configs(), proposals=st.integers(1, 8), batch=st.sampled_from([2, 4, 6]),
+       seed=st.integers(0, 2 ** 16))
+def test_records_and_pulls_hold_no_tensor_but_requires_grad_leaves(config, proposals, batch,
+                                                                   seed):
+    config = dataclasses.replace(config, proposals=proposals)
+    model = SyntheticModel(config, seed=seed)
+    x, y = make_dataset(batch, config.input_dim, config.output_dim, 0.1, seed + 1)
+    masks, noise = model.draw_noise(seed + 2, batch)
+    loss = model.loss_given_noise(x, y, masks, noise)
+    records = loss.tape._records
+    assert loss.node == len(records) - 1
+    for i, (pull, tracked, parents) in enumerate(records):
+        assert len(parents) == len(tracked)
+        for parent, t in zip(parents, tracked):
+            assert (parent is not None) == t
+            if type(parent) is int:
+                assert 0 <= parent < i
+            elif parent is not None:
+                assert isinstance(parent, Tensor) and parent.requires_grad
+                assert parent.tape is None
+        for held in _tensors_held_by(pull):
+            assert held.requires_grad and held.tape is None, (i, held)
+    gradients(loss, model.params)
+
+
+def test_forward_intermediates_are_freed_before_the_reverse_pass(monkeypatch):
+    # the default model at batch 2048, jittered so that it draws noise
+    config, batch = ModelConfig(proposal_noise_std=0.25), 2048
+    model = SyntheticModel(config, seed=0)
+    x, y = make_dataset(batch, config.input_dim, config.output_dim, 0.1, 1)
+    real_matmul, real_add, real_draw = agvm.models.matmul, agvm.models.add, model.draw_noise
+    matmuls = []        # [weakref to a matmul output array, whether a later pull reads it]
+    bias_adds = []      # weakrefs to the outputs of adds with a bias leaf
+    noises = []
+    held = None         # every op output, when building the reference
+
+    def traced_matmul(a, b):
+        for entry in matmuls:
+            if entry[0]() is a.data and b.requires_grad:
+                entry[1] = True
+        out = real_matmul(a, b)
+        matmuls.append([weakref.ref(out.data), False])
+        if held is not None:
+            held.append(out)
+        return out
+
+    def traced_add(a, b):
+        out = real_add(a, b)
+        if b.requires_grad and b.tape is None and b.ndim == 1:
+            bias_adds.append(weakref.ref(out.data))
+        if held is not None:
+            held.append(out)
+        return out
+
+    def traced_draw(mask_seed, rows):
+        masks, noise = real_draw(mask_seed, rows)
+        noises.append(weakref.ref(noise))
+        return masks, noise
+
+    monkeypatch.setattr(agvm.models, "matmul", traced_matmul)
+    monkeypatch.setattr(agvm.models, "add", traced_add)
+    monkeypatch.setattr(model, "draw_noise", traced_draw)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        loss = model.loss(x, y, mask_seed=2)
+        assert len(matmuls) == 19 and len(bias_adds) == 13 and len(noises) == 1
+        # of the matmul outputs, only the last halving product of each level past
+        # the first is read, by that level's lateral pull
+        assert sum(kept for _, kept in matmuls) == 3
+        for i, (ref, kept) in enumerate(matmuls):
+            assert (ref() is not None) == kept, i
+        assert all(ref() is None for ref in bias_adds)
+        assert noises[0]() is None
+        got = gradients(loss, model.params).packed
+    finally:
+        if enabled:
+            gc.enable()
+    # the same forward with every op output held, as records holding their
+    # outputs and inputs would
+    held = []
+    want = gradients(model.loss(x, y, mask_seed=2), model.params).packed
+    assert len(held) == 19 + 20     # 13 bias adds, 4 noise adds, 3 loss terms
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 # ---- bias sums: column sums of [rows, w] as a ones-vector product ----
