@@ -85,8 +85,11 @@ def _dispatch(args, extras) -> int:
                                        config.output_dim, config.noise_std,
                                        config.dataset_seed)
         batch = min(8, config.n_samples)
-        err = grad_check(lambda: model.loss(inputs[:batch], targets[:batch], mask_seed=0),
-                         model.params, probe_count=probes, seed=config.seed)
+        try:
+            err = grad_check(lambda: model.loss(inputs[:batch], targets[:batch], mask_seed=0),
+                             model.params, probe_count=probes, seed=config.seed)
+        except ValueError as exc:   # the config's model has a non-finite loss
+            raise ConfigError(str(exc)) from None
         # grad_check probes each coordinate at most once
         coords = sum(p.size for p in model.params if p.requires_grad)
         print(summary_text({"max_rel_err": err, "probes": min(probes, coords)}))

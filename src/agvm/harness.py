@@ -1,11 +1,13 @@
 """Experiment runner: simulated data-parallel batching, learning-rate
 schedules, variance tracing, ablation arms, and CSV emission.
 
-A run draws even-sized mini-batches from a synthetic dataset, trains a
-multi-module model with one of the modulated optimizers, and every tau
-iterations (aligned with modulation) records per-module rows of the
-learning-rate-free variance proxy, the current multiplier, the effective
-learning rate, the loss, and the squared gradient norm. The two half-batch
+One loop (``_Runner.run``) draws even-sized mini-batches from a synthetic
+dataset and, every tau iterations (aligned with modulation), records
+per-module rows of the learning-rate-free variance proxy, the current
+multiplier, the effective learning rate, the loss, and the squared gradient
+norm. Training updates a multi-module model with one of the modulated
+optimizers at every step; an update-free variance trace runs only the traced
+steps, at the initial parameters. The two half-batch
 gradients feeding the proxy come from the same single whole-batch backward
 pass as the step gradient: the pass splits each parameter gradient into the
 odd and even batch rows (``gradients(..., row_groups=2)``), and twice each
@@ -202,6 +204,17 @@ class ExperimentConfig:
         if model is not None and not 0 <= self.anchor < model.module_count:
             bad.append(f"anchor {self.anchor} out of range for the model's "
                        f"{model.module_count} modules")
+        if not bad:
+            # the rate is largest at warmup's last step (its peak * (t + 1) is formed
+            # before the division) or at step T-1, after every milestone decay reached
+            try:
+                lrs = [lr_at(self.schedule(), t, self.batch_size)
+                       for t in (max(0, self.warmup_iters - 1), max(0, self.total_iterations - 1))]
+            except OverflowError:
+                lrs = [math.inf]
+            if not all(map(math.isfinite, lrs)):
+                bad.append(f"the learning rate overflows: base_lr {self.base_lr}, decay_factor "
+                           f"{self.decay_factor}, milestones {self.milestones}")
         if bad:
             raise ConfigError("invalid experiment config: " + "; ".join(bad))
 
@@ -434,6 +447,45 @@ class _Runner:
                                  loss=loss, grad_norm_sq=float(np.dot(g, g))))
         return rows
 
+    def run(self, train: bool) -> RunResult:
+        """The batch-and-trace loop: steps 0..T with updates, or without
+        ``train`` only the traced steps 0, tau, ... <= T. A non-finite loss at
+        a step t >= 1 halts the run before that step's rows."""
+        cfg = self.config
+        trace = []
+        diverged_at, reason = -1, None
+        for t in range(0, cfg.total_iterations + 1, 1 if train else self.tau):
+            idx = self.draw_batch()
+            eta = lr_at(self.schedule, max(0, t - 1), cfg.batch_size)
+            groups = None
+            if t % self.tau == 0:
+                loss, grad, groups = self.grouped_loss_and_grad(idx, t)
+            else:
+                loss, grad = self.batch_loss_and_grad(idx, t)
+            if t >= 1 and not math.isfinite(loss):
+                diverged_at, reason = t, f"non-finite loss {loss} at step {t}"
+                break
+            final_loss = loss
+            if train and t >= 1:
+                try:
+                    self.opt.step(self.w, grad, eta, groups=groups)
+                except DivergenceError as exc:
+                    diverged_at, reason = t, str(exc)
+                    break
+                load_params(self.model.params, self.w)
+            if groups is not None:
+                trace.extend(self.trace_rows(t, loss, groups, self.opt.modulator.mu, eta))
+
+        summary = summarize(trace, self.partition.names, self.partition.anchor_name)
+        summary.update(status="ok" if reason is None else "NaN", final_loss=final_loss)
+        if reason is not None:
+            summary.update(diverged_at=diverged_at, diverged_reason=reason)
+        if train:
+            # the step that diverged never completed
+            run = cfg.total_iterations if reason is None else diverged_at - 1
+            summary.update(diverged_at=diverged_at, iterations_run=run)
+        return RunResult(final_loss=final_loss, trace=trace, summary=summary)
+
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Train per the config; deterministic in (config, seed).
@@ -443,66 +495,12 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     or update halts the run, flags the summary with status=NaN and adds
     ``diverged_reason``; any other OptimizerError propagates.
     """
-    r = _Runner(config)
-    cfg = config
-    trace = []
-    status, diverged_at, reason = "ok", -1, None
-    final_loss = math.nan
-
-    idx0 = r.draw_batch()
-    loss0, _, groups0 = r.grouped_loss_and_grad(idx0, t=0)
-    trace.extend(r.trace_rows(0, loss0, groups0, r.opt.modulator.mu, lr_at(r.schedule, 0, cfg.batch_size)))
-    final_loss = loss0
-
-    for t in range(1, cfg.total_iterations + 1):
-        idx = r.draw_batch()
-        eta = lr_at(r.schedule, t - 1, cfg.batch_size)
-        is_trace = t % r.tau == 0
-        if is_trace:
-            loss, grad, groups = r.grouped_loss_and_grad(idx, t)
-        else:
-            loss, grad = r.batch_loss_and_grad(idx, t)
-            groups = None
-        if not math.isfinite(loss):
-            status, diverged_at, reason = "NaN", t, f"non-finite loss {loss} at step {t}"
-            break
-        final_loss = loss
-        try:
-            r.opt.step(r.w, grad, eta, groups=groups)
-        except DivergenceError as exc:
-            status, diverged_at, reason = "NaN", t, str(exc)
-            break
-        load_params(r.model.params, r.w)
-        if is_trace:
-            trace.extend(r.trace_rows(t, loss, groups, r.opt.modulator.mu, eta))
-
-    summary = summarize(trace, r.partition.names, r.partition.anchor_name)
-    summary["status"] = status
-    summary["diverged_at"] = diverged_at
-    if reason is not None:
-        summary["diverged_reason"] = reason
-    summary["final_loss"] = final_loss
-    # the step that diverged never completed
-    summary["iterations_run"] = cfg.total_iterations if status == "ok" else diverged_at - 1
-    return RunResult(final_loss=final_loss, trace=trace, summary=summary)
+    return _Runner(config).run(train=True)
 
 
 def variance_trace(config: ExperimentConfig) -> RunResult:
-    """Observe per-module variance without updating: forward/backward only."""
-    r = _Runner(config)
-    trace = []
-    loss = math.nan
-    for t in range(0, config.total_iterations + 1):
-        if t % r.tau != 0 and t != 0:
-            continue
-        idx = r.draw_batch()
-        loss, _, groups = r.grouped_loss_and_grad(idx, t)
-        eta = lr_at(r.schedule, max(0, t - 1), config.batch_size)
-        trace.extend(r.trace_rows(t, loss, groups, r.opt.modulator.mu, eta))
-    summary = summarize(trace, r.partition.names, r.partition.anchor_name)
-    summary["status"] = "ok"
-    summary["final_loss"] = loss
-    return RunResult(final_loss=loss, trace=trace, summary=summary)
+    """Observe per-module variance without updating, at the traced steps only."""
+    return _Runner(config).run(train=False)
 
 
 def summarize(trace: list, names: tuple, anchor_name: str) -> dict:
@@ -547,15 +545,14 @@ def phi_gap(trace: list, anchor_name: str = "trunk") -> Optional[float]:
     return float(np.mean(logs)) if logs else None
 
 
-def ablation_suite(base_config: ExperimentConfig, train: bool = False) -> dict:
+def ablation_suite(base_config: ExperimentConfig) -> dict:
     """Run every ablation arm with identical seeds; per-arm summaries.
 
     The base config must be the shared-head pyramid baseline so the arms
-    isolate one mechanism each. By default the arms are compared as
-    update-free variance traces at their (seed-matched) initial parameters:
-    arms train at different speeds, and over a trained trajectory that speed
-    difference swamps the architectural effect the phi-gap is meant to
-    expose. Pass train=True to train each arm instead.
+    isolate one mechanism each. The arms are compared as update-free
+    variance traces at their (seed-matched) initial parameters: arms train
+    at different speeds, and over a trained trajectory that speed difference
+    swamps the architectural effect the phi-gap is meant to expose.
 
     Arms differ only in their model config, so arms that resolve to equal
     ones (proposals_1 on a jittered base is the shared arm) are run once;
@@ -565,14 +562,13 @@ def ablation_suite(base_config: ExperimentConfig, train: bool = False) -> dict:
         raise ConfigError("ablation_suite needs a shared-head pyramid base config")
     if base_config.ablation != "none":
         raise ConfigError("ablation_suite applies its own arms; set ablation=none")
-    runner = run_experiment if train else variance_trace
     runs = {}
     results = {}
     for arm in ABLATION_ARMS:
         cfg = replace(base_config, ablation=arm)
         key = cfg.model_config()
         if key not in runs:
-            runs[key] = runner(cfg).summary
+            runs[key] = variance_trace(cfg).summary
         results[arm] = dict(runs[key])
     return results
 

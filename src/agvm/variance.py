@@ -221,15 +221,15 @@ def per_sample_gradients(model, inputs, targets, mask_seed: int) -> np.ndarray:
 
 
 def brute_force_variance_oracle(per_sample, partition: ModulePartition, b: int, resamples: int,
-                                seed: int, replace: bool = True) -> np.ndarray:
+                                seed: int) -> np.ndarray:
     """Per-module, per-parameter gradient sampling variance by enumeration.
 
     ``per_sample`` is the [n, d] matrix of per-sample flat gradients over the
     whole dataset (``per_sample_gradients``), laid out by ``partition``. Its
     mean is the exact full-dataset gradient; the oracle averages
     |g_batch - grad_full|^2 / d_module over ``resamples`` mini-batches of
-    size b (drawn with replacement by default). Independent of the cosine
-    estimator by construction.
+    size b, drawn with replacement. Independent of the cosine estimator by
+    construction.
 
     The resamples are drawn ``c`` at a time, by the same generator calls in
     the same order as one at a time. Each resample mean is still formed
@@ -266,7 +266,7 @@ def brute_force_variance_oracle(per_sample, partition: ModulePartition, b: int, 
     for start in range(0, resamples, c):
         m = min(c, resamples - start)
         for r in range(m):
-            pick = rng.integers(0, n, size=b) if replace else rng.permutation(n)[:b]
+            pick = rng.integers(0, n, size=b)
             weights[r] = np.bincount(pick, minlength=n)
         weights[:m] /= b
         for lo in range(0, d, width):

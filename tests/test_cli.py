@@ -85,6 +85,10 @@ class TestInvalidValues:
         ["--levels=0"], ["--head_mode=both", "--alpha=2"],
         # a valid config whose dataset cannot be allocated: numpy's MemoryError
         ["--input_dim=100000000000"],
+        # learning rates that overflow: an OverflowError from the milestone
+        # decays' power, and a peak that read as a numerical divergence
+        ["--decay_factor=1e308", "--milestones=1,2", "--total_iterations=5", "--warmup_iters=0"],
+        ["--base_lr=1e308", "--total_iterations=5", "--warmup_iters=0"],
     ])
     def test_exit_1_with_an_error_line_and_no_traceback(self, flags, capsys, monkeypatch):
         monkeypatch.delenv("AGVM_SEED", raising=False)
@@ -134,7 +138,9 @@ class TestInvalidOracleCheck:
 
 
 class TestInvalidGradCheck:
-    @pytest.mark.parametrize("flags", [["--probes", "0"], ["--probes=-3"], ["--probes=abc"]])
+    # the last one's loss is not finite
+    @pytest.mark.parametrize("flags", [["--probes", "0"], ["--probes=-3"], ["--probes=abc"],
+                                       ["--noise_std=1e300"]])
     def test_exit_1_with_an_error_line_and_no_traceback(self, flags, capsys, monkeypatch):
         monkeypatch.delenv("AGVM_SEED", raising=False)
         code, out, err = run_main(["grad-check"] + flags + FAST_ARGS, capsys)

@@ -183,6 +183,36 @@ class TestConfigSurface:
         with pytest.raises(ConfigError, match=re.escape(needle)):
             load_config(None, overrides=overrides, env={})
 
+    @settings(max_examples=300, deadline=None)
+    @given(base_lr=st.sampled_from([0.0, 0.04, 1e300, 2e307, 1e308]),
+           decay_factor=st.sampled_from([0.0, 0.1, 1.0, 1e10, 1e200, 1e308]),
+           milestones=st.lists(st.integers(0, 12), max_size=3).map(tuple),
+           total=st.integers(0, 10), warmup=st.integers(0, 3),
+           scaling=st.sampled_from(["linear", "linear-then-sqrt"]),
+           decay=st.sampled_from(["multistep", "poly"]), batch=st.sampled_from([16, 512]))
+    def test_a_config_validates_iff_every_evaluated_lr_is_finite(
+            self, base_lr, decay_factor, milestones, total, warmup, scaling, decay, batch):
+        cfg = ExperimentConfig(base_lr=base_lr, decay_factor=decay_factor,
+                               milestones=milestones, total_iterations=total,
+                               warmup_iters=warmup if warmup < total else 0,
+                               lr_scaling=scaling, lr_decay=decay, batch_size=batch)
+
+        def finite(t):
+            try:
+                return math.isfinite(lr_at(cfg.schedule(), t, batch))
+            except OverflowError:
+                return False
+
+        every_lr_finite = all(finite(t) for t in range(max(1, total)))
+        try:
+            cfg.validate()
+        except ConfigError as exc:
+            assert not every_lr_finite
+            for key in ("base_lr", "decay_factor", "milestones"):
+                assert key in str(exc)
+        else:
+            assert every_lr_finite
+
     def test_anchor_may_be_any_module(self):
         assert ExperimentConfig(anchor=2).model_config().module_count == 3
         ExperimentConfig(anchor=2).validate()
@@ -313,6 +343,58 @@ class TestVarianceTrace:
         assert iters == [0, 10, 20, 30, 40]
 
 
+class TestRunLoop:
+    """Training and update-free traces share one loop; the update-free mode
+    draws one batch per traced step and never updates."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(optimizer=st.sampled_from(["sgd", "adamw"]), agvm=st.booleans(),
+           tau=st.integers(1, 4), total=st.integers(0, 9), seed=st.integers(0, 2 ** 31),
+           arm=st.sampled_from([{}, dict(mask_fraction=0.5),
+                                dict(proposals=3, proposal_noise_std=0.25),
+                                dict(mask_fraction=0.75, proposals=2, proposal_noise_std=0.5)]))
+    def test_update_free_rows_are_fresh_batches_at_the_initial_parameters(
+            self, optimizer, agvm, tau, total, seed, arm):
+        cfg = ExperimentConfig(**{**FAST, "warmup_iters": 0, "optimizer": optimizer,
+                                  "agvm_enabled": agvm, "tau": tau,
+                                  "total_iterations": total, "seed": seed, **arm})
+        traced = list(range(0, total + 1, tau))
+        free, trained = variance_trace(cfg), run_experiment(cfg)
+        assert trained.summary["status"] == "ok"
+        for res in (free, trained):
+            assert sorted({row.iter for row in res.trace}) == traced
+        for k, t in enumerate(traced):
+            fresh = harness._Runner(cfg)
+            for _ in range(k + 1):
+                idx = fresh.draw_batch()
+            loss, _, groups = fresh.grouped_loss_and_grad(idx, t)
+            eta = lr_at(fresh.schedule, max(0, t - 1), cfg.batch_size)
+            want = fresh.trace_rows(t, loss, groups, fresh.opt.modulator.mu, eta)
+            assert [row for row in free.trace if row.iter == t] == want
+        # step 0 is the same batch at the same parameters in both modes
+        assert [row for row in trained.trace if row.iter == 0] == \
+            [row for row in free.trace if row.iter == 0]
+
+    def test_finished_run_summary_keys(self):
+        cfg = ExperimentConfig(**FAST)
+        stats = {f"{stat}_{name}" for stat in ("phi_avg", "mean_abs_log_mu", "phi_late_ratio")
+                 for name in ("trunk", "pyramid", "head")} | {"phi_gap"}
+        assert set(run_experiment(cfg).summary) == stats | {
+            "status", "diverged_at", "final_loss", "iterations_run"}
+        assert set(variance_trace(cfg).summary) == stats | {"status", "final_loss"}
+
+    def test_non_finite_loss_halts_an_update_free_run(self):
+        # step 0's loss is not checked, in either mode
+        cfg = ExperimentConfig(**{**FAST, "noise_std": 1e300, "warmup_iters": 0})
+        res = variance_trace(cfg)
+        assert res.summary["status"] == "NaN"
+        assert res.summary["diverged_at"] == 10
+        assert res.summary["diverged_reason"] == "non-finite loss inf at step 10"
+        assert {row.iter for row in res.trace} == {0}
+        for arm, summary in ablation_suite(cfg).items():
+            assert summary["status"] == "NaN", arm
+
+
 class TestCsv:
     def rows(self):
         return [TraceRow(0, "trunk", 0.1 + 1e-17, 1.0, 0.32, 1.5, 2.0),
@@ -368,12 +450,6 @@ class TestAblationSuite:
         base = ExperimentConfig(**FAST)
         results = ablation_suite(base)
         assert results["shared"]["phi_gap"] == variance_trace(base).summary["phi_gap"]
-
-    def test_train_mode_runs_experiments(self):
-        base = ExperimentConfig(**FAST)
-        results = ablation_suite(base, train=True)
-        assert results["shared"]["phi_gap"] == run_experiment(base).summary["phi_gap"]
-
 
     @pytest.mark.parametrize("std,runs", [(2.0, 5), (0.0, 6)])
     def test_equal_arms_run_once(self, monkeypatch, std, runs):

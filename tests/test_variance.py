@@ -377,7 +377,7 @@ class TestFullVarianceEstimate:
             full_variance_estimate(groups, n=4, eta=1.0)
 
 
-def oracle_reference(per_sample, partition, b, resamples, seed, replace):
+def oracle_reference(per_sample, partition, b, resamples, seed):
     """The per-resample loop: gather each resample's rows, take their mean,
     and add each module's squared deviation per parameter."""
     n = per_sample.shape[0]
@@ -385,7 +385,7 @@ def oracle_reference(per_sample, partition, b, resamples, seed, replace):
     rng = np.random.default_rng(seed)
     acc = np.zeros(partition.h)
     for _ in range(resamples):
-        pick = rng.integers(0, n, size=b) if replace else rng.permutation(n)[:b]
+        pick = rng.integers(0, n, size=b)
         diff = per_sample[pick].mean(axis=0) - grad_full
         acc += np.array([np.dot(diff[sl], diff[sl]) / max(1, sl.stop - sl.start)
                          for sl in partition.slices.values()])
@@ -400,12 +400,6 @@ def oracle_of(model, data, **kwargs):
 
 
 class TestBruteForceOracle:
-    def test_full_batch_without_replacement_is_zero(self):
-        model = TwoBlockLinearModel(4, 3, 2, seed=1)
-        data = make_dataset(16, 4, 2, 0.2, seed=2)
-        var = oracle_of(model, data, b=16, resamples=100, seed=0, replace=False)
-        assert np.all(var < 1e-25)
-
     def test_zero_at_noiseless_optimum(self):
         # targets exactly produced by the model: every per-sample gradient is 0
         model = TwoBlockLinearModel(4, 3, 2, seed=3)
@@ -471,10 +465,10 @@ class TestBruteForceOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(2, 64), resamples=st.integers(100, 300),
-           replace=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           seed=st.integers(0, 2 ** 32 - 1),
            sizes=st.lists(st.integers(0, 9), min_size=2, max_size=6),
            chunk_bytes=st.sampled_from([8, 200, 4096, 1 << 19]))
-    def test_matches_the_per_resample_loop(self, data, n, resamples, replace, seed, sizes,
+    def test_matches_the_per_resample_loop(self, data, n, resamples, seed, sizes,
                                            chunk_bytes):
         b = 2 * data.draw(st.integers(1, n // 2))
         # 2 or more modules, each a run of consecutive parameters, some of size 0
@@ -491,9 +485,9 @@ class TestBruteForceOracle:
             # small budgets split both the resamples and the columns into chunks
             mp.setattr(variance, "_ORACLE_CHUNK_BYTES", chunk_bytes)
             got = brute_force_variance_oracle(per_sample, part, b=b, resamples=resamples,
-                                              seed=seed, replace=replace)
-        want = oracle_reference(per_sample, part, b, resamples, seed, replace)
-        # a full batch drawn without replacement deviates by rounding alone
+                                              seed=seed)
+        want = oracle_reference(per_sample, part, b, resamples, seed)
+        # a resample that picks every row once deviates by rounding alone
         noise = (4 * n * np.finfo(np.float64).eps * np.abs(per_sample).max(initial=0.0)) ** 2
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=noise)
 
