@@ -12,12 +12,30 @@ gradients feeding the proxy come from the same single whole-batch backward
 pass as the step gradient: the pass splits each parameter gradient into the
 odd and even batch rows (``gradients(..., row_groups=2)``), and twice each
 part is the mean of that half's per-sample gradients.
+
+When a step's proposal-noise array is large (at least
+``DRAW_AHEAD_MIN_ELEMENTS`` elements, a count fixed by the model config and
+the batch size), the loop draws each step's noise one step ahead: at the
+start of a step it starts a thread that calls ``draw_noise`` for the next
+step, and joins it when that step begins. numpy fills the array without
+holding the GIL, so the draw runs on a second core alongside the current
+step's forward and backward pass. The seed of a draw depends only on the
+step, so every output is the same bit for bit as drawing inline. Below the
+gate, or when the model draws nothing, the loop draws inline: starting and
+joining a thread costs more than a small draw. The thread is started fresh
+for each step rather than kept in a pool: on a 2-core VM a persistent
+worker woken every step often stayed on the main thread's core for the
+whole process, so nothing overlapped, while a thread started per step ran
+in parallel. The batch draw stays on the main thread, so the batch RNG is
+used by one thread only. A draw's exception is raised from ``run()``, and
+no thread outlives it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -224,7 +242,6 @@ class ExperimentConfig:
         index, by the keys that size it. The counts are Python integers, so
         the config is rejected before anything is allocated."""
         widths = (model.input_dim,) + tuple(model.trunk_widths)
-        head_in = model.head_width if model.pyramid else widths[-1]
         rows = model.levels * model.proposals * self.batch_size     # noise rows per step
         arrays = {
             "n_samples x input_dim": self.n_samples * model.input_dim,
@@ -234,7 +251,7 @@ class ExperimentConfig:
             "trunk_widths x head_width": widths[-1] * model.head_width,
             "head_width x head_width": model.head_width ** 2 if model.pyramid else 0,
             "head_width x output_dim": model.head_width * model.output_dim,
-            "levels x proposals x batch_size x head input": rows * head_in,
+            "levels x proposals x batch_size x head input": rows * model.head_in,
             "levels x proposals x batch_size x output_dim": rows * model.output_dim,
         }
         limit = np.iinfo(np.intp).max
@@ -368,8 +385,45 @@ class RunResult:
     summary: dict
 
 
+# A step's noise is drawn one step ahead, on a thread started for that one
+# draw, only when its array holds at least this many elements. numpy fills
+# the array without holding the GIL, so the draw overlaps the current step's
+# forward and backward pass, but each thread costs about 0.3 ms of CPU to
+# start and join. MISALIGNMENT with proposal_noise_std 0.25, 2000 steps,
+# 2-core VM, BLAS 1 thread, 6 alternating pairs, median wall time inline ->
+# ahead: 16,384 elements (K=1) 3.62 -> 3.82 s, 3 of 6 pairs faster;
+# 32,768 (K=2) 4.38 -> 4.13 s, 4 of 6 faster, within the 3.3-5.5 s spread;
+# 65,536 (K=4) 6.30 -> 5.22 s, 6 of 6 faster.
+DRAW_AHEAD_MIN_ELEMENTS = 1 << 16
+
+
 def _mask_seed(seed: int, t: int) -> int:
     return int(np.random.SeedSequence([seed & 0xFFFFFFFF, t]).generate_state(1)[0])
+
+
+class _DrawAhead(threading.Thread):
+    """``draw(seed, batch)`` on a thread of its own, started at once.
+    ``result()`` joins the thread and returns the draw, or raises what the
+    draw raised."""
+
+    def __init__(self, draw, seed: int, batch: int):
+        super().__init__(name="agvm-draw-ahead")
+        self._call = (draw, seed, batch)
+        self._out = self._error = None
+        self.start()
+
+    def run(self):
+        draw, seed, batch = self._call
+        try:
+            self._out = draw(seed, batch)
+        except BaseException as exc:        # re-raised by result() on the caller's thread
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._out
 
 
 class _Runner:
@@ -405,22 +459,25 @@ class _Runner:
         return self.batch_rng.choice(self.config.n_samples, size=self.config.batch_size,
                                      replace=False)
 
-    def forward(self, idx: np.ndarray, t: int):
-        """The loss of the rows ``idx`` at step t. The step's mask seed is
-        derived only when the model draws randomness with it."""
-        seed = _mask_seed(self.config.seed, t) if self.model.draws_noise() else None
-        masks, noise = self.model.draw_noise(seed, len(idx))
+    def forward(self, idx: np.ndarray, t: int, drawn: Optional[tuple] = None):
+        """The loss of the rows ``idx`` at step t, given the step's
+        ``(masks, noise)`` already drawn, or drawing them here. The step's
+        mask seed is derived only when the model draws randomness with it."""
+        if drawn is None:
+            seed = _mask_seed(self.config.seed, t) if self.model.draws_noise() else None
+            drawn = self.model.draw_noise(seed, len(idx))
+        masks, noise = drawn
         # np.take copies the same rows as fancy indexing, several times
         # faster when the rows are random and out of cache
         return self.model.loss_given_noise(np.take(self.inputs, idx, axis=0),
                                            np.take(self.targets, idx, axis=0), masks, noise)
 
-    def batch_loss_and_grad(self, idx: np.ndarray, t: int):
+    def batch_loss_and_grad(self, idx: np.ndarray, t: int, drawn: Optional[tuple] = None):
         """One forward/backward over the whole mini-batch; (loss, flat grad)."""
-        loss = self.forward(idx, t)
+        loss = self.forward(idx, t, drawn)
         return float(loss.data), gradients(loss, self.model.params).packed
 
-    def grouped_loss_and_grad(self, idx: np.ndarray, t: int):
+    def grouped_loss_and_grad(self, idx: np.ndarray, t: int, drawn: Optional[tuple] = None):
         """One whole-batch backward split by odd/even rows; (loss, flat grad,
         GroupedGradients).
 
@@ -428,7 +485,7 @@ class _Runner:
         (even) rows' share of the gradient is the mean of that half's
         per-sample gradients: exactly the odd/even split of the batch.
         """
-        loss = self.forward(idx, t)
+        loss = self.forward(idx, t, drawn)
         halves = gradients(loss, self.model.params, row_groups=2).packed
         halves *= 2.0
         g1, g2 = halves
@@ -447,34 +504,55 @@ class _Runner:
                                  loss=loss, grad_norm_sq=float(np.dot(g, g))))
         return rows
 
+    def draws_ahead(self) -> bool:
+        """Whether run() draws each step's noise one step ahead on a worker
+        thread: the model draws randomness, and its noise array holds at
+        least DRAW_AHEAD_MIN_ELEMENTS elements."""
+        c = self.model.config
+        elements = (c.levels * c.proposals * self.config.batch_size * c.head_in
+                    if c.proposal_noise_std > 0.0 else 0)
+        return self.model.draws_noise() and elements >= DRAW_AHEAD_MIN_ELEMENTS
+
     def run(self, train: bool) -> RunResult:
         """The batch-and-trace loop: steps 0..T with updates, or without
         ``train`` only the traced steps 0, tau, ... <= T. A non-finite loss at
         a step t >= 1 halts the run before that step's rows."""
         cfg = self.config
+        stride = 1 if train else self.tau
+        ahead = self.draws_ahead()
         trace = []
         diverged_at, reason = -1, None
-        for t in range(0, cfg.total_iterations + 1, 1 if train else self.tau):
-            idx = self.draw_batch()
-            eta = lr_at(self.schedule, max(0, t - 1), cfg.batch_size)
-            groups = None
-            if t % self.tau == 0:
-                loss, grad, groups = self.grouped_loss_and_grad(idx, t)
-            else:
-                loss, grad = self.batch_loss_and_grad(idx, t)
-            if t >= 1 and not math.isfinite(loss):
-                diverged_at, reason = t, f"non-finite loss {loss} at step {t}"
-                break
-            final_loss = loss
-            if train and t >= 1:
-                try:
-                    self.opt.step(self.w, grad, eta, groups=groups)
-                except DivergenceError as exc:
-                    diverged_at, reason = t, str(exc)
+        pending = None      # the worker drawing this step's noise, if any
+        try:
+            for t in range(0, cfg.total_iterations + 1, stride):
+                drawn = None if pending is None else pending.result()
+                pending = (_DrawAhead(self.model.draw_noise, _mask_seed(cfg.seed, t + stride),
+                                      cfg.batch_size)
+                           if ahead and t + stride <= cfg.total_iterations else None)
+                idx = self.draw_batch()
+                eta = lr_at(self.schedule, max(0, t - 1), cfg.batch_size)
+                groups = None
+                if t % self.tau == 0:
+                    loss, grad, groups = self.grouped_loss_and_grad(idx, t, drawn)
+                else:
+                    loss, grad = self.batch_loss_and_grad(idx, t, drawn)
+                if t >= 1 and not math.isfinite(loss):
+                    diverged_at, reason = t, f"non-finite loss {loss} at step {t}"
                     break
-                load_params(self.model.params, self.w)
-            if groups is not None:
-                trace.extend(self.trace_rows(t, loss, groups, self.opt.modulator.mu, eta))
+                final_loss = loss
+                if train and t >= 1:
+                    try:
+                        self.opt.step(self.w, grad, eta, groups=groups)
+                    except DivergenceError as exc:
+                        diverged_at, reason = t, str(exc)
+                        break
+                    load_params(self.model.params, self.w)
+                if groups is not None:
+                    trace.extend(self.trace_rows(t, loss, groups, self.opt.modulator.mu, eta))
+        finally:
+            # a draw for a step the run never reaches is dropped, error and all
+            if pending is not None:
+                pending.join()
 
         summary = summarize(trace, self.partition.names, self.partition.anchor_name)
         summary.update(status="ok" if reason is None else "NaN", final_loss=final_loss)

@@ -83,6 +83,12 @@ class ModelConfig:
             raise ConfigError("invalid model config: " + "; ".join(bad))
 
     @property
+    def head_in(self) -> int:
+        """Width of the head's input: the pyramid's common width, or the
+        trunk output without a pyramid."""
+        return self.head_width if self.pyramid else self.trunk_widths[-1]
+
+    @property
     def module_count(self) -> int:
         """Modules of the partition SyntheticModel builds: the trunk, the
         pyramid (if any), and one shared head or one head per level."""
@@ -185,15 +191,12 @@ class SyntheticModel:
         if config.pyramid:
             for lvl in range(config.levels):
                 self._laterals.append(linear(trunk_out >> lvl, config.head_width, ids["pyramid"]))
-            head_in = config.head_width
-        else:
-            head_in = trunk_out
 
         self._heads = []
         n_heads = config.levels if config.head_mode == "independent" else 1
         for h in range(n_heads):
             bucket = ids["heads"][h]
-            h1 = linear(head_in, config.head_width, bucket)
+            h1 = linear(config.head_in, config.head_width, bucket)
             h2 = linear(config.head_width, config.output_dim, bucket)
             self._heads.append((h1, h2))
 
@@ -246,9 +249,8 @@ class SyntheticModel:
             np.put_along_axis(masks, order[:, :kept], True, axis=1)
         noise = None
         if c.proposal_noise_std > 0.0:
-            head_in = c.head_width if c.pyramid else c.trunk_widths[-1]
             noise = rng.normal(0.0, c.proposal_noise_std,
-                               (c.levels, c.proposals, batch, head_in))
+                               (c.levels, c.proposals, batch, c.head_in))
         return masks, noise
 
     def _branch_features(self, trunk_feat: Tensor, level: int) -> Tensor:

@@ -57,8 +57,12 @@ reverse pass frees is reused by the next forward pass instead of being
 returned to the kernel and faulted back in page by page. Freeing during
 the walk and keeping freed memory pay only together: without the
 thresholds, each walk trims the heap top and the next step faults it back.
-The call is skipped where the C library has no ``mallopt`` (not glibc),
-and where the environment already sets ``GLIBC_TUNABLES`` or one of glibc's
+It also caps glibc at one malloc arena (``M_ARENA_MAX``), so an array
+allocated on another thread (the harness draws large proposal noise on a
+worker thread) comes from the main heap and its freed memory, instead of
+from a second arena whose memory the main thread never reuses. All three
+calls are skipped where the C library has no ``mallopt`` (not glibc), and
+where the environment already sets ``GLIBC_TUNABLES`` or one of glibc's
 ``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` and
 ``MALLOC_TOP_PAD_``: allocator choices made at process start win.
 
@@ -141,7 +145,7 @@ _LOCAL = _Local()
 
 # glibc's mallopt parameter numbers, and the environment names with which
 # glibc takes allocator settings at process start
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MALLOC_ENV = ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
                "MALLOC_TOP_PAD_")
 
@@ -156,6 +160,7 @@ def _keep_freed_memory(libc, environ) -> bool:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_ARENA_MAX, 1)
     return True
 
 

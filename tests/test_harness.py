@@ -1,7 +1,9 @@
+import functools
 import math
 import os
 import re
-from dataclasses import fields
+import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -393,6 +395,143 @@ class TestRunLoop:
         assert {row.iter for row in res.trace} == {0}
         for arm, summary in ablation_suite(cfg).items():
             assert summary["status"] == "NaN", arm
+
+
+def record_draw_threads(monkeypatch) -> list:
+    """Route the harness's draw-ahead threads through a subclass that keeps
+    every thread it starts in the returned list."""
+    threads = []
+
+    class Recorded(harness._DrawAhead):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(harness, "_DrawAhead", Recorded)
+    return threads
+
+
+class TestDrawAhead:
+    """run() draws a large step's noise one step ahead on a worker thread;
+    every output equals the inline draw's, and no thread outlives run()."""
+
+    @staticmethod
+    def outputs(cfg, train: bool, gate: int) -> tuple:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", gate)
+            threads = record_draw_threads(mp)
+            res = harness._Runner(cfg).run(train)
+        # repr keeps every bit of a float and reads NaN equal to NaN
+        return (repr(res.trace), summary_text(res.summary), repr(res.final_loss)), threads
+
+    @settings(max_examples=40, deadline=None)
+    @given(optimizer=st.sampled_from(["sgd", "adamw"]), train=st.booleans(),
+           proposals=st.integers(1, 8), std=st.sampled_from([0.0, 0.5]),
+           mask=st.sampled_from([0.0, 0.5, 0.75]), tau=st.integers(1, 4),
+           total=st.integers(0, 9), base_lr=st.sampled_from([0.04, 1e9]),
+           seed=st.integers(0, 2 ** 31))
+    def test_drawing_ahead_changes_no_output(self, optimizer, train, proposals, std, mask,
+                                             tau, total, base_lr, seed):
+        cfg = ExperimentConfig(**{**FAST, "warmup_iters": 0, "optimizer": optimizer,
+                                  "proposals": proposals, "proposal_noise_std": std,
+                                  "mask_fraction": mask, "tau": tau, "total_iterations": total,
+                                  "base_lr": base_lr, "seed": seed})
+        ahead, threads = self.outputs(cfg, train, 0)
+        inline, none = self.outputs(cfg, train, 1 << 62)
+        assert ahead == inline
+        assert none == []
+        steps = len(range(0, total + 1, 1 if train else tau))
+        if mask or std:
+            # one thread per step after the first, unless the run halted early
+            assert 1 <= len(threads) <= steps - 1 or steps == 1 and threads == []
+        else:
+            assert threads == []
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+    def test_a_run_that_diverges_midway_is_unchanged(self, optimizer):
+        cfg = ExperimentConfig(**{**FAST, "warmup_iters": 0, "optimizer": optimizer,
+                                  "proposals": 4, "proposal_noise_std": 0.5,
+                                  "base_lr": 1e9})
+        ahead, threads = self.outputs(cfg, True, 0)
+        assert ahead == self.outputs(cfg, True, 1 << 62)[0]
+        assert "status=NaN" in ahead[1]
+        diverged_at = int(re.search(r"diverged_at=(\d+)", ahead[1]).group(1))
+        assert 1 < diverged_at < cfg.total_iterations
+        assert len(threads) == diverged_at + 1
+
+    @pytest.mark.parametrize("gate", [0, 1 << 62])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_a_failing_draw_is_raised_from_run(self, monkeypatch, gate, k):
+        monkeypatch.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", gate)
+        threads = record_draw_threads(monkeypatch)
+        runner = harness._Runner(ExperimentConfig(**FAST, proposals=2, proposal_noise_std=0.5))
+        seed_of = functools.partial(harness._mask_seed, runner.config.seed)
+        real, calls, finished = runner.model.draw_noise, [], []
+        err = MemoryError("no room for the noise")
+
+        def failing(seed, batch):
+            calls.append(seed)
+            if seed == seed_of(k):
+                raise err
+            if seed == seed_of(k + 1):
+                time.sleep(0.2)         # still drawing when step k fails
+                finished.append(seed)
+            return real(seed, batch)
+
+        monkeypatch.setattr(runner.model, "draw_noise", failing)
+        with pytest.raises(MemoryError) as raised:
+            runner.run(train=True)
+        assert raised.value is err
+        assert calls.count(seed_of(k)) == 1
+        # step 0 draws inline, after starting the thread that draws step 1,
+        # which run() joins before raising
+        ahead = gate == 0
+        assert len(threads) == (max(k, 1) if ahead else 0)
+        assert finished == ([seed_of(1)] if ahead and k == 0 else [])
+        assert not any(th.is_alive() for th in threads)
+
+    def test_a_diverging_run_joins_its_last_draw(self, monkeypatch):
+        monkeypatch.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", 0)
+        threads = record_draw_threads(monkeypatch)
+        runner = harness._Runner(ExperimentConfig(**{**FAST, "warmup_iters": 0, "proposals": 4,
+                                                     "proposal_noise_std": 0.5, "base_lr": 1e9}))
+        real, finished = runner.model.draw_noise, []
+
+        def slow(seed, batch):
+            time.sleep(0.05)
+            finished.append(seed)
+            return real(seed, batch)
+
+        monkeypatch.setattr(runner.model, "draw_noise", slow)
+        summary = runner.run(train=True).summary
+        assert summary["status"] == "NaN"
+        # step 0 inline, then steps 1 .. diverged_at + 1 ahead; the last is
+        # dropped, but joined
+        assert len(threads) == summary["diverged_at"] + 1
+        assert len(finished) == len(threads) + 1
+        assert not any(th.is_alive() for th in threads)
+
+    def test_the_gate_counts_the_noise_elements(self):
+        # levels x proposals x batch x head input = 4 x 4 x 256 x 16 = 2**16
+        at = ExperimentConfig(proposals=4, proposal_noise_std=0.25)
+        assert harness.DRAW_AHEAD_MIN_ELEMENTS == 2 ** 16
+        assert harness._Runner(at).draws_ahead()
+        assert not harness._Runner(replace(at, batch_size=254)).draws_ahead()
+        assert not harness._Runner(replace(at, proposal_noise_std=0.0)).draws_ahead()
+        assert not harness._Runner(replace(at, proposal_noise_std=0.0,
+                                           mask_fraction=0.5)).draws_ahead()
+
+    @pytest.mark.parametrize("arm", [
+        pytest.param(dict(proposals=3, proposal_noise_std=0.25), id="below-the-gate"),
+        pytest.param({}, id="no-noise"),
+    ])
+    def test_small_or_absent_noise_starts_no_thread(self, monkeypatch, arm):
+        threads = record_draw_threads(monkeypatch)
+        if not arm:
+            monkeypatch.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", 0)
+        run_experiment(ExperimentConfig(**FAST, **arm))
+        variance_trace(ExperimentConfig(**FAST, **arm))
+        assert threads == []
 
 
 class TestCsv:

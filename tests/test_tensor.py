@@ -337,8 +337,9 @@ class TestHeapPolicy:
     def test_sets_the_mmap_and_trim_thresholds(self):
         libc, calls = self.fake_libc()
         assert _keep_freed_memory(libc, {"PATH": "/bin"}) is True
-        # M_MMAP_THRESHOLD = -3 at 32 MiB, M_TRIM_THRESHOLD = -1 at 256 MiB
-        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+        # M_MMAP_THRESHOLD = -3 at 32 MiB, M_TRIM_THRESHOLD = -1 at 256 MiB,
+        # M_ARENA_MAX = -8 at one arena
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20), (-8, 1)]
 
     def test_skipped_without_mallopt(self):
         assert _keep_freed_memory(types.SimpleNamespace(), {}) is False
@@ -356,6 +357,7 @@ class TestHeapPolicy:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         assert mallopt(-3, 32 << 20) == 1
         assert mallopt(-1, 256 << 20) == 1
+        assert mallopt(-8, 1) == 1
 
 
 class TestNewGraph:
