@@ -13,22 +13,26 @@ pass as the step gradient: the pass splits each parameter gradient into the
 odd and even batch rows (``gradients(..., row_groups=2)``), and twice each
 part is the mean of that half's per-sample gradients.
 
-When a step's proposal-noise array is large (at least
-``DRAW_AHEAD_MIN_ELEMENTS`` elements, a count fixed by the model config and
-the batch size), the loop draws each step's noise one step ahead: at the
-start of a step it starts a thread that calls ``draw_noise`` for the next
-step, and joins it when that step begins. numpy fills the array without
-holding the GIL, so the draw runs on a second core alongside the current
-step's forward and backward pass. The seed of a draw depends only on the
-step, so every output is the same bit for bit as drawing inline. Below the
-gate, or when the model draws nothing, the loop draws inline: starting and
-joining a thread costs more than a small draw. The thread is started fresh
-for each step rather than kept in a pool: on a 2-core VM a persistent
-worker woken every step often stayed on the main thread's core for the
-whole process, so nothing overlapped, while a thread started per step ran
-in parallel. The batch draw stays on the main thread, so the batch RNG is
-used by one thread only. A draw's exception is raised from ``run()``, and
-no thread outlives it.
+Two pieces of work run on a second thread, each on a thread started for that
+one call (``_InThread``) and joined before its caller returns. When a step's
+proposal-noise array is large (at least ``DRAW_AHEAD_MIN_ELEMENTS``
+elements, a count fixed by the model config and the batch size), the loop
+draws each step's noise one step ahead: at the start of a step it starts a
+thread that calls ``draw_noise`` for the next step, and joins it when that
+step begins. Below the gate, or when the model draws nothing, the loop draws
+inline: starting and joining a thread costs more than a small draw. The
+batch draw stays on the main thread, so the batch RNG is used by one thread
+only. ``oracle_check`` runs the brute-force oracle on a thread while the
+main thread resamples the estimate. Both pieces spend their time in numpy
+calls that release the GIL (the noise fill, the oracle's BLAS products), so
+they run on a second core. Each draws from a generator of its own (a draw's
+seed depends only on its step) and reads only arrays that nothing writes
+while it runs, so every output is the same bit for bit as running it inline.
+A thread is started fresh for each use rather than kept in a pool: on a
+2-core VM a persistent worker woken every step often stayed on the main
+thread's core for the whole process, so nothing overlapped, while a thread
+started per use ran in parallel. A worker's exception is raised from
+``run()`` or ``oracle_check``, and no thread outlives either.
 """
 
 from __future__ import annotations
@@ -401,21 +405,21 @@ def _mask_seed(seed: int, t: int) -> int:
     return int(np.random.SeedSequence([seed & 0xFFFFFFFF, t]).generate_state(1)[0])
 
 
-class _DrawAhead(threading.Thread):
-    """``draw(seed, batch)`` on a thread of its own, started at once.
-    ``result()`` joins the thread and returns the draw, or raises what the
-    draw raised."""
+class _InThread(threading.Thread):
+    """``fn(*args, **kwargs)`` on a thread of its own, started at once.
+    ``result()`` joins the thread and returns what ``fn`` returned, or
+    raises what it raised."""
 
-    def __init__(self, draw, seed: int, batch: int):
-        super().__init__(name="agvm-draw-ahead")
-        self._call = (draw, seed, batch)
+    def __init__(self, fn, *args, **kwargs):
+        super().__init__(name="agvm-in-thread")
+        self._call = (fn, args, kwargs)
         self._out = self._error = None
         self.start()
 
     def run(self):
-        draw, seed, batch = self._call
+        fn, args, kwargs = self._call
         try:
-            self._out = draw(seed, batch)
+            self._out = fn(*args, **kwargs)
         except BaseException as exc:        # re-raised by result() on the caller's thread
             self._error = exc
 
@@ -526,8 +530,8 @@ class _Runner:
         try:
             for t in range(0, cfg.total_iterations + 1, stride):
                 drawn = None if pending is None else pending.result()
-                pending = (_DrawAhead(self.model.draw_noise, _mask_seed(cfg.seed, t + stride),
-                                      cfg.batch_size)
+                pending = (_InThread(self.model.draw_noise, _mask_seed(cfg.seed, t + stride),
+                                     cfg.batch_size)
                            if ahead and t + stride <= cfg.total_iterations else None)
                 idx = self.draw_batch()
                 eta = lr_at(self.schedule, max(0, t - 1), cfg.batch_size)
@@ -704,6 +708,17 @@ def oracle_check(seed: int = 0, n: Optional[int] = None, b: Optional[int] = None
     Returns per-module estimates, oracle values and relative errors. Raises
     ConfigError, naming every violated constraint, for a negative seed,
     fewer than 100 resamples, or a b that is odd or outside [2, n].
+
+    After one per-sample pass the check has two independent halves, run at
+    once: a worker thread computes the brute-force oracle (generator
+    ``seed + 4``) while this thread averages the estimate over resampled
+    mini-batches (generator ``seed + 3``). Each half reads only the per-sample
+    matrix and the partition's slices, which neither writes, and draws from
+    its own generator, so every value is the same bit for bit as running the
+    halves one after the other. The oracle's time is almost all in BLAS
+    products that release the GIL, so it runs on a second core. The worker is
+    joined on every exit: its exception is raised from here, and one raised
+    by the estimate propagates after the join.
     """
     p = dict(BENCHMARK)
     if n is not None:
@@ -731,20 +746,24 @@ def oracle_check(seed: int = 0, n: Optional[int] = None, b: Optional[int] = None
                                             (p["n"], p["output_dim"]))
 
     per_sample = per_sample_gradients(model, inputs, targets, mask_seed=0)
-    rng = np.random.default_rng(seed + 3)
-    names = model.partition.names
-    estimates = np.zeros(len(names))
-    for _ in range(p["resamples"]):
-        pick = rng.integers(0, p["n"], size=p["b"])
-        groups = split_groups(per_sample, model.partition, rows=pick)
-        estimates += full_variance_estimate(groups, n=p["n"], eta=1.0)
-    estimates /= p["resamples"]
-
-    oracle = brute_force_variance_oracle(per_sample, model.partition, b=p["b"],
-                                         resamples=p["resamples"], seed=seed + 4)
+    partition = model.partition
+    partition.slices        # built once here, before both threads read it
+    worker = _InThread(brute_force_variance_oracle, per_sample, partition, b=p["b"],
+                       resamples=p["resamples"], seed=seed + 4)
+    try:
+        rng = np.random.default_rng(seed + 3)
+        estimates = np.zeros(partition.h)
+        for _ in range(p["resamples"]):
+            pick = rng.integers(0, p["n"], size=p["b"])
+            groups = split_groups(per_sample, partition, rows=pick)
+            estimates += full_variance_estimate(groups, n=p["n"], eta=1.0)
+        estimates /= p["resamples"]
+    finally:
+        worker.join()
+    oracle = worker.result()
     rel = np.abs(estimates - oracle) / oracle
     out = {}
-    for i, name in enumerate(names):
+    for i, name in enumerate(partition.names):
         out[f"estimate_{name}"] = float(estimates[i])
         out[f"oracle_{name}"] = float(oracle[i])
         out[f"rel_err_{name}"] = float(rel[i])

@@ -397,17 +397,17 @@ class TestRunLoop:
             assert summary["status"] == "NaN", arm
 
 
-def record_draw_threads(monkeypatch) -> list:
-    """Route the harness's draw-ahead threads through a subclass that keeps
-    every thread it starts in the returned list."""
+def record_in_threads(monkeypatch) -> list:
+    """Route the harness's worker threads (``_InThread``) through a subclass
+    that keeps every thread it starts in the returned list."""
     threads = []
 
-    class Recorded(harness._DrawAhead):
+    class Recorded(harness._InThread):
         def start(self):
             threads.append(self)
             super().start()
 
-    monkeypatch.setattr(harness, "_DrawAhead", Recorded)
+    monkeypatch.setattr(harness, "_InThread", Recorded)
     return threads
 
 
@@ -419,7 +419,7 @@ class TestDrawAhead:
     def outputs(cfg, train: bool, gate: int) -> tuple:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", gate)
-            threads = record_draw_threads(mp)
+            threads = record_in_threads(mp)
             res = harness._Runner(cfg).run(train)
         # repr keeps every bit of a float and reads NaN equal to NaN
         return (repr(res.trace), summary_text(res.summary), repr(res.final_loss)), threads
@@ -463,7 +463,7 @@ class TestDrawAhead:
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_a_failing_draw_is_raised_from_run(self, monkeypatch, gate, k):
         monkeypatch.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", gate)
-        threads = record_draw_threads(monkeypatch)
+        threads = record_in_threads(monkeypatch)
         runner = harness._Runner(ExperimentConfig(**FAST, proposals=2, proposal_noise_std=0.5))
         seed_of = functools.partial(harness._mask_seed, runner.config.seed)
         real, calls, finished = runner.model.draw_noise, [], []
@@ -492,7 +492,7 @@ class TestDrawAhead:
 
     def test_a_diverging_run_joins_its_last_draw(self, monkeypatch):
         monkeypatch.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", 0)
-        threads = record_draw_threads(monkeypatch)
+        threads = record_in_threads(monkeypatch)
         runner = harness._Runner(ExperimentConfig(**{**FAST, "warmup_iters": 0, "proposals": 4,
                                                      "proposal_noise_std": 0.5, "base_lr": 1e9}))
         real, finished = runner.model.draw_noise, []
@@ -526,7 +526,7 @@ class TestDrawAhead:
         pytest.param({}, id="no-noise"),
     ])
     def test_small_or_absent_noise_starts_no_thread(self, monkeypatch, arm):
-        threads = record_draw_threads(monkeypatch)
+        threads = record_in_threads(monkeypatch)
         if not arm:
             monkeypatch.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", 0)
         run_experiment(ExperimentConfig(**FAST, **arm))

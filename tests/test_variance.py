@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -16,6 +19,7 @@ from agvm.variance import (GroupedGradients, GroupingError,
                            brute_force_variance_oracle, cosine_similarity,
                            full_variance_estimate, per_sample_gradients,
                            phi_estimate, split_groups)
+from test_harness import record_in_threads
 
 
 def one_module_partition(size):
@@ -506,6 +510,41 @@ class TestBruteForceOracle:
         assert peak <= 2 * variance._ORACLE_CHUNK_BYTES + (256 << 10), peak
 
 
+def checked_with_per_sample(monkeypatch, seed, n, b, resamples):
+    """``oracle_check``'s report and the per-sample matrix it computed."""
+    from agvm import harness
+    seen = []
+
+    def kept(*args, **kwargs):
+        seen.append(per_sample_gradients(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(harness, "per_sample_gradients", kept)
+    report = harness.oracle_check(seed=seed, n=n, b=b, resamples=resamples)
+    per_sample, = seen
+    return report, per_sample
+
+
+def benchmark_partition(seed):
+    p = BENCHMARK
+    return TwoBlockLinearModel(p["input_dim"], p["hidden_dim"], p["output_dim"],
+                               seed=seed + 1).partition
+
+
+def gathered_estimates(per_sample, part, seed, n, b, resamples):
+    """The check's estimates with each resample's rows gathered and its
+    halves summed by numpy, by the same generator calls (``seed + 3``)."""
+    rng = np.random.default_rng(seed + 3)
+    want = np.zeros(part.h)
+    for _ in range(resamples):
+        batch = per_sample[rng.integers(0, n, size=b)]
+        s1, s2 = batch[0::2].sum(axis=0), batch[1::2].sum(axis=0)
+        groups = GroupedGradients.from_half_means(s1 / (b // 2), s2 / (b // 2),
+                                                  (s1 + s2) / b, part, b)
+        want += full_variance_estimate(groups, n=n, eta=1.0)
+    return want / resamples
+
+
 class TestEstimateAgainstOracle:
     def test_linear_regression_benchmark_within_15_percent(self):
         from agvm.harness import oracle_check
@@ -533,30 +572,102 @@ class TestEstimateAgainstOracle:
         # the check sums each resample's rows in place through split_groups;
         # gathering per_sample[pick] and summing its halves with numpy, by
         # the same generator calls, gives the same estimates bit for bit
-        from agvm import harness
-        seen = []
-
-        def kept(*args, **kwargs):
-            seen.append(per_sample_gradients(*args, **kwargs))
-            return seen[-1]
-
-        monkeypatch.setattr(harness, "per_sample_gradients", kept)
-        report = harness.oracle_check(seed=seed, n=n, b=b, resamples=resamples)
-        per_sample, = seen
-        p = BENCHMARK
-        part = TwoBlockLinearModel(p["input_dim"], p["hidden_dim"], p["output_dim"],
-                                   seed=seed + 1).partition
-        rng = np.random.default_rng(seed + 3)
-        want = np.zeros(part.h)
-        for _ in range(resamples):
-            batch = per_sample[rng.integers(0, n, size=b)]
-            s1, s2 = batch[0::2].sum(axis=0), batch[1::2].sum(axis=0)
-            groups = GroupedGradients.from_half_means(s1 / (b // 2), s2 / (b // 2),
-                                                      (s1 + s2) / b, part, b)
-            want += full_variance_estimate(groups, n=n, eta=1.0)
-        want /= resamples
+        report, per_sample = checked_with_per_sample(monkeypatch, seed, n, b, resamples)
+        part = benchmark_partition(seed)
+        want = gathered_estimates(per_sample, part, seed, n, b, resamples)
         for i, name in enumerate(part.names):
             assert report[f"estimate_{name}"] == float(want[i]), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 50), n=st.integers(16, 128), resamples=st.integers(100, 150),
+           data=st.data())
+    def test_equals_the_serial_composition_of_its_halves(self, seed, n, resamples, data):
+        # the oracle runs on one worker thread while the estimate is
+        # resampled; the report equals running the pieces one after another
+        b = 2 * data.draw(st.integers(1, n // 2), label="b/2")
+        with pytest.MonkeyPatch.context() as mp:
+            threads = record_in_threads(mp)
+            report, per_sample = checked_with_per_sample(mp, seed, n, b, resamples)
+        part = benchmark_partition(seed)
+        estimates = gathered_estimates(per_sample, part, seed, n, b, resamples)
+        oracle = brute_force_variance_oracle(per_sample, part, b=b, resamples=resamples,
+                                             seed=seed + 4)
+        rel = np.abs(estimates - oracle) / oracle
+        want = {"max_rel_err": float(rel.max())}
+        for i, name in enumerate(part.names):
+            want.update({f"estimate_{name}": float(estimates[i]),
+                         f"oracle_{name}": float(oracle[i]), f"rel_err_{name}": float(rel[i])})
+        assert {k: repr(v) for k, v in report.items()} == {k: repr(v) for k, v in want.items()}
+        assert len(threads) == 1
+        assert not threads[0].is_alive()
+
+    def test_concurrent_checks_under_a_short_switch_interval_are_unchanged(self):
+        # three checks at once, each with its own oracle thread: six threads
+        # on a 2-core VM, switching every 10 us
+        from agvm.harness import oracle_check
+        seeds = (3, 4, 5)
+        want = {s: repr(oracle_check(seed=s, n=64, b=16, resamples=100)) for s in seeds}
+        got = {}
+
+        def check(s):
+            got[s] = repr(oracle_check(seed=s, n=64, b=16, resamples=100))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=check, args=(s,)) for s in seeds]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == want
+
+    def test_a_failing_oracle_is_raised_from_the_check(self, monkeypatch):
+        from agvm import harness
+        err = MemoryError("no room for the oracle")
+
+        def failing(*args, **kwargs):
+            raise err
+
+        monkeypatch.setattr(harness, "brute_force_variance_oracle", failing)
+        threads = record_in_threads(monkeypatch)
+        with pytest.raises(MemoryError) as raised:
+            harness.oracle_check(seed=3, n=64, b=16, resamples=100)
+        assert raised.value is err
+        assert len(threads) == 1 and not threads[0].is_alive()
+
+    @pytest.mark.parametrize("oracle_fails", [False, True])
+    def test_a_failing_estimate_propagates_after_the_join(self, monkeypatch, oracle_fails):
+        from agvm import harness
+        real_split, real_oracle = harness.split_groups, harness.brute_force_variance_oracle
+        calls, finished = [], []
+        err = MemoryError("no room for the halves")
+
+        def split(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise err
+            return real_split(*args, **kwargs)
+
+        def slow_oracle(*args, **kwargs):
+            time.sleep(0.2)         # still running when the estimate fails
+            finished.append(1)
+            if oracle_fails:
+                raise ValueError("the oracle failed too")
+            return real_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "split_groups", split)
+        monkeypatch.setattr(harness, "brute_force_variance_oracle", slow_oracle)
+        threads = record_in_threads(monkeypatch)
+        with pytest.raises(MemoryError) as raised:
+            harness.oracle_check(seed=3, n=64, b=16, resamples=100)
+        assert raised.value is err
+        assert len(calls) == 3
+        assert finished == [1]
+        assert len(threads) == 1 and not threads[0].is_alive()
 
     @pytest.mark.parametrize("kwargs,words", [
         (dict(seed=-1), "seed"), (dict(resamples=99), "resamples"),
