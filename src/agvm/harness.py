@@ -28,15 +28,23 @@ calls that release the GIL (the noise fill, the oracle's BLAS products), so
 they run on a second core. Each draws from a generator of its own (a draw's
 seed depends only on its step) and reads only arrays that nothing writes
 while it runs, so every output is the same bit for bit as running it inline.
-A thread is started fresh for each use rather than kept in a pool: on a
-2-core VM a persistent worker woken every step often stayed on the main
-thread's core for the whole process, so nothing overlapped, while a thread
-started per use ran in parallel. A worker's exception is raised from
-``run()`` or ``oracle_check``, and no thread outlives either.
+A worker's exception is raised from ``run()`` or ``oracle_check``, and no
+thread outlives either.
+
+A new thread can start on its creator's CPU and stay there. On a 2-core VM
+whose cpusets turn the kernel's load balancing off, that held for whole
+processes: in one, 14 of 15 oracle workers started on the main thread's CPU,
+and each check took as long as running its halves in turn. So each worker
+first restricts itself to the CPUs its process may use other than the one
+its creator ran on when it was started (``_leave_cpu``); with a single
+usable CPU it runs where it is. A thread is started fresh for each use
+rather than kept in a pool: a persistent worker woken every step stayed on
+the main thread's core for whole processes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -405,20 +413,46 @@ def _mask_seed(seed: int, t: int) -> int:
     return int(np.random.SeedSequence([seed & 0xFFFFFFFF, t]).generate_state(1)[0])
 
 
+_SCHED_GETCPU = getattr(ctypes.CDLL(None), "sched_getcpu", None)
+
+
+def _current_cpu() -> Optional[int]:
+    """The CPU the calling thread runs on, or None where the C library
+    cannot say."""
+    cpu = _SCHED_GETCPU() if _SCHED_GETCPU is not None else -1
+    return cpu if cpu >= 0 else None
+
+
+def _leave_cpu(cpu: Optional[int]):
+    """Restrict the calling thread to the CPUs it may use other than
+    ``cpu``; leave it alone where there are none, or where the platform
+    cannot set a thread's CPUs."""
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except OSError:         # not permitted: the thread runs where it was placed
+        pass
+
+
 class _InThread(threading.Thread):
-    """``fn(*args, **kwargs)`` on a thread of its own, started at once.
-    ``result()`` joins the thread and returns what ``fn`` returned, or
-    raises what it raised."""
+    """``fn(*args, **kwargs)`` on a thread of its own, started at once, off
+    the CPU its creator runs on. ``result()`` joins the thread and returns
+    what ``fn`` returned, or raises what it raised."""
 
     def __init__(self, fn, *args, **kwargs):
         super().__init__(name="agvm-in-thread")
         self._call = (fn, args, kwargs)
         self._out = self._error = None
+        self.creator_cpu = _current_cpu()
         self.start()
 
     def run(self):
         fn, args, kwargs = self._call
         try:
+            _leave_cpu(self.creator_cpu)
             self._out = fn(*args, **kwargs)
         except BaseException as exc:        # re-raised by result() on the caller's thread
             self._error = exc

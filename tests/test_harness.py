@@ -411,6 +411,41 @@ def record_in_threads(monkeypatch) -> list:
     return threads
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread CPU affinity")
+class TestInThread:
+    """A worker restricts itself to its process's CPUs other than the one its
+    creator ran on."""
+
+    def test_the_worker_runs_off_its_creators_cpu(self):
+        allowed = os.sched_getaffinity(0)
+        worker = harness._InThread(os.sched_getaffinity, 0)
+        cpus = worker.result()
+        if worker.creator_cpu is None or allowed == {worker.creator_cpu}:
+            assert cpus == allowed
+        else:
+            assert cpus == allowed - {worker.creator_cpu}
+        assert os.sched_getaffinity(0) == allowed
+
+    @pytest.mark.parametrize("cpu,allowed,made", [
+        (None, {0, 1}, []), (1, {1}, []), (1, {0, 1}, [{0}]), (2, {0, 1, 2, 3}, [{0, 1, 3}]),
+    ])
+    def test_leave_cpu(self, monkeypatch, cpu, allowed, made):
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed))
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(set(cpus)))
+        harness._leave_cpu(cpu)
+        assert calls == made
+
+    def test_a_refused_affinity_still_runs_the_call(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise PermissionError("not permitted")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        monkeypatch.setattr(harness, "_current_cpu", lambda: 0)
+        assert harness._InThread(divmod, 7, 2).result() == (3, 1)
+
+
 class TestDrawAhead:
     """run() draws a large step's noise one step ahead on a worker thread;
     every output equals the inline draw's, and no thread outlives run()."""
