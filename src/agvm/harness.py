@@ -7,11 +7,29 @@ per-module rows of the learning-rate-free variance proxy, the current
 multiplier, the effective learning rate, the loss, and the squared gradient
 norm. Training updates a multi-module model with one of the modulated
 optimizers at every step; an update-free variance trace runs only the traced
-steps, at the initial parameters. The two half-batch
-gradients feeding the proxy come from the same single whole-batch backward
-pass as the step gradient: the pass splits each parameter gradient into the
-odd and even batch rows (``gradients(..., row_groups=2)``), and twice each
-part is the mean of that half's per-sample gradients.
+steps, at the initial parameters. Below ``REPLICA_MIN_BATCH`` rows, the two
+half-batch gradients feeding the proxy come from the same single whole-batch
+backward pass as the step gradient: the pass splits each parameter gradient
+into the odd and even batch rows (``gradients(..., row_groups=2)``), and
+twice each part is the mean of that half's per-sample gradients.
+
+From ``REPLICA_MIN_BATCH`` rows on, a step is two half-batch passes, as the
+paper's two groups of data-parallel workers compute it: group 1's over the
+rows ``idx[0::2]`` in the run's process, and group 2's over ``idx[1::2]`` at
+the same time in a replica process (``_Replica``). G1 and G2 are the two
+passes' gradients, the step's gradient is their mean, and its loss the mean
+of their losses. The replica is forked once when the run starts, before the
+run starts any thread, and moves off the run's CPU (``_leave_cpu``). Each
+step it loads the weights from a buffer shared with the run, draws the
+step's masks and noise itself from the step's seed, keeping its own rows
+(``draw_noise`` gives batch position j row j of its arrays), and writes back
+its loss and packed gradient; the optimizer runs only in the run's process.
+With one usable CPU, without ``os.fork``, or while the process has another
+thread, the run computes both half passes itself, in the same arithmetic, so
+every output depends on the config alone. The replica exits when its command
+pipe closes, which happens on every exit from ``run()`` and when the run's
+process dies, and ``run()`` reaps it; a replica that fails is raised from
+``run()`` as a ReplicaError.
 
 Two pieces of work run on a second thread, each on a thread started for that
 one call (``_InThread``) and joined before its caller returns. When a step's
@@ -38,16 +56,22 @@ and each check took as long as running its halves in turn. So each worker
 first restricts itself to the CPUs its process may use other than the one
 its creator ran on when it was started (``_leave_cpu``); with a single
 usable CPU it runs where it is. A thread is started fresh for each use
-rather than kept in a pool: a persistent worker woken every step stayed on
-the main thread's core for whole processes.
+rather than kept in a pool: a persistent worker thread woken every step,
+tried before workers left their creator's CPU, stayed on the main thread's
+core for whole processes. The replica is persistent, but it is a process
+whose CPUs are set once, when it is forked, so it keeps off the run's core
+for the whole run.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import mmap
 import os
+import signal
 import threading
+import traceback
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -159,7 +183,9 @@ class ExperimentConfig:
     total_iterations: int = 2000
     seed: int = 1
     # accepted and validated (>= 1) so existing config files and flags keep
-    # working, but a run no longer uses it: every step is one reverse pass
+    # working, but a run does not use it: below REPLICA_MIN_BATCH a step is
+    # one reverse pass, and above it the two half passes always run on the
+    # run's process and one replica, whatever this says
     workers: int = 1
     # modulation (tau=0 picks the default: 10, or 5 above batch 1024)
     agvm_enabled: bool = True
@@ -408,6 +434,20 @@ class RunResult:
 # 65,536 (K=4) 6.30 -> 5.22 s, 6 of 6 faster.
 DRAW_AHEAD_MIN_ELEMENTS = 1 << 16
 
+# From this batch size on, every step is two half-batch passes, group 2's in a
+# replica process (``_Replica``) while the run computes group 1's. The
+# replica's per-step cost (a pipe round trip, copying the weights, the batch
+# rows and its gradient, drawing the whole step's masks and noise) is about
+# fixed, and the work it takes off the run's process grows with the batch.
+# The benchmark's AdamW large-batch model (200 steps, BLAS 1 thread, 2-core
+# VM), alternating pairs of processes, median wall time per run, all in
+# process -> with the replica, pairs it won:
+#   batch 512:  0.329 -> 0.321 s, 3 of 8; 0.359 -> 0.350 s, 4 of 8
+#   batch 1024: 0.570 -> 0.465 s, 7 of 8; 0.500 -> 0.453 s, 6 of 8;
+#               0.559 -> 0.452 s, 8 of 8
+#   batch 2048: 1.065 -> 0.699 s, 8 of 8; 1.093 -> 0.716 s, 8 of 8
+REPLICA_MIN_BATCH = 1024
+
 
 def _mask_seed(seed: int, t: int) -> int:
     return int(np.random.SeedSequence([seed & 0xFFFFFFFF, t]).generate_state(1)[0])
@@ -464,6 +504,119 @@ class _InThread(threading.Thread):
         return self._out
 
 
+class ReplicaError(RuntimeError):
+    """The replica process failed or exited during a step."""
+
+
+class _Replica:
+    """A forked copy of a run that computes group 2's half of each step,
+    ``half_loss_and_grad(idx, t, 1)``, while the run computes group 1's.
+
+    Per step the run writes its weights and the batch rows into a shared
+    buffer (``start``) and sends t down a command pipe; the replica loads
+    the weights, draws the step's masks and noise itself from t, and writes
+    back its loss and packed gradient, which ``result`` returns. The
+    optimizer runs only in the run's process. The replica ignores SIGINT
+    and exits on EOF of the command pipe, which ``close`` causes and the
+    run's death causes too, so it never outlives the run; ``close`` reaps
+    it. A replica that fails or exits is raised from ``result`` or
+    ``start`` as a ReplicaError.
+    """
+
+    def __init__(self, runner: "_Runner"):
+        n, b = runner.w.size, runner.config.batch_size
+        # an anonymous mapping is shared with the forked child
+        self._shared = mmap.mmap(-1, 8 * (2 * n + 1 + b))
+        floats = np.frombuffer(self._shared, np.float64, 2 * n + 1)
+        self.w, self.grad, self.loss = floats[:n], floats[n:2 * n], floats[2 * n:]
+        self.idx = np.frombuffer(self._shared, np.int64, b, offset=8 * (2 * n + 1))
+        self.t = None
+        creator_cpu = _current_cpu()
+        commands, self._commands = os.pipe()
+        self._replies, replies = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (commands, self._commands, self._replies, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(self._commands)
+                os.close(self._replies)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                _leave_cpu(creator_cpu)
+                self._serve(runner, commands, replies)
+                status = 0
+            finally:
+                os._exit(status)        # never return into the run's code
+        os.close(commands)
+        os.close(replies)
+
+    def _serve(self, runner: "_Runner", commands: int, replies: int):
+        """The replica's loop: one half pass per command, until EOF."""
+        while True:
+            word = os.read(commands, 8)
+            if not word:
+                return
+            t = int.from_bytes(word, "little")
+            try:
+                load_params(runner.model.params, self.w)
+                loss, grad = runner.half_loss_and_grad(self.idx, t, 1)
+            except Exception:
+                os.write(replies, traceback.format_exc().encode())
+                return
+            self.grad[...] = grad
+            self.loss[0] = loss
+            os.write(replies, b"\0")
+
+    def start(self, t: int, idx: np.ndarray, w: np.ndarray):
+        """Start group 2's half of step t on the batch ``idx`` at weights ``w``."""
+        self.t = t
+        self.idx[...] = idx
+        self.w[...] = w
+        try:
+            os.write(self._commands, t.to_bytes(8, "little"))
+        except BrokenPipeError:
+            raise self._failure(b"") from None
+
+    def result(self) -> tuple:
+        """(loss, flat grad) of the step started last."""
+        reply = os.read(self._replies, 1 << 16)
+        if reply != b"\0":
+            raise self._failure(reply)
+        return float(self.loss[0]), self.grad.copy()
+
+    def _failure(self, reply: bytes) -> ReplicaError:
+        """The error for a replica that replied ``reply`` (its traceback, or
+        nothing when it exited); reaps it."""
+        chunks = [reply]
+        while chunks[-1]:
+            chunks.append(os.read(self._replies, 1 << 16))
+        code = self.close()
+        text = b"".join(chunks).decode(errors="replace").strip()
+        return ReplicaError(f"the replica process failed at step {self.t}: "
+                            + (text or f"it exited with code {code}"))
+
+    def close(self) -> Optional[int]:
+        """Close the pipes, so the replica exits, and reap it; its exit code
+        (negative: killed by that signal), or None once closed."""
+        if self.pid is None:
+            return None
+        os.close(self._commands)
+        os.close(self._replies)
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class _Runner:
     """Shared machinery for training runs and update-free variance traces."""
 
@@ -497,14 +650,17 @@ class _Runner:
         return self.batch_rng.choice(self.config.n_samples, size=self.config.batch_size,
                                      replace=False)
 
+    def draw(self, t: int, batch: int) -> tuple:
+        """Step t's ``(masks, noise)`` for a batch of ``batch`` rows. The
+        step's mask seed is derived only when the model draws randomness
+        with it."""
+        seed = _mask_seed(self.config.seed, t) if self.model.draws_noise() else None
+        return self.model.draw_noise(seed, batch)
+
     def forward(self, idx: np.ndarray, t: int, drawn: Optional[tuple] = None):
         """The loss of the rows ``idx`` at step t, given the step's
-        ``(masks, noise)`` already drawn, or drawing them here. The step's
-        mask seed is derived only when the model draws randomness with it."""
-        if drawn is None:
-            seed = _mask_seed(self.config.seed, t) if self.model.draws_noise() else None
-            drawn = self.model.draw_noise(seed, len(idx))
-        masks, noise = drawn
+        ``(masks, noise)`` already drawn, or drawing them here."""
+        masks, noise = self.draw(t, len(idx)) if drawn is None else drawn
         # np.take copies the same rows as fancy indexing, several times
         # faster when the rows are random and out of cache
         return self.model.loss_given_noise(np.take(self.inputs, idx, axis=0),
@@ -530,6 +686,22 @@ class _Runner:
         grad = (g1 + g2) / 2.0
         groups = GroupedGradients.from_half_means(g1, g2, grad, self.partition, len(idx))
         return float(loss.data), grad, groups
+
+    def half_loss_and_grad(self, idx: np.ndarray, t: int, part: int,
+                           drawn: Optional[tuple] = None):
+        """Group ``part + 1``'s half of step t: one forward/backward over the
+        rows ``idx[part::2]``; (loss, flat grad), each the mean over that
+        half. ``drawn`` is the whole batch's ``(masks, noise)``, drawn here
+        when None; draw_noise gives batch position j row j of its arrays, so
+        the half takes its own rows of the step's draw.
+
+        Every sample keeps equally many loss elements, so the two halves'
+        gradients are G1 and G2, and their mean and the mean of their losses
+        are the whole batch's gradient and loss."""
+        masks, noise = self.draw(t, len(idx)) if drawn is None else drawn
+        half = (None if masks is None else masks[part::2],
+                None if noise is None else noise[:, :, part::2])
+        return self.batch_loss_and_grad(idx[part::2], t, half)
 
     def trace_rows(self, t: int, loss: float, groups: GroupedGradients,
                    mu: np.ndarray, eta: float) -> list:
@@ -558,9 +730,15 @@ class _Runner:
         cfg = self.config
         stride = 1 if train else self.tau
         ahead = self.draws_ahead()
+        halves = cfg.batch_size >= REPLICA_MIN_BATCH
         trace = []
         diverged_at, reason = -1, None
         pending = None      # the worker drawing this step's noise, if any
+        # forked before this run starts a thread, and only from a process
+        # that has no other: a fork copies one thread, and any lock another
+        # one holds stays held in the child
+        replica = (_Replica(self) if halves and hasattr(os, "fork") and _usable_cpus() > 1
+                   and threading.active_count() == 1 else None)
         try:
             for t in range(0, cfg.total_iterations + 1, stride):
                 drawn = None if pending is None else pending.result()
@@ -570,7 +748,19 @@ class _Runner:
                 idx = self.draw_batch()
                 eta = lr_at(self.schedule, max(0, t - 1), cfg.batch_size)
                 groups = None
-                if t % self.tau == 0:
+                if halves:
+                    if drawn is None:
+                        drawn = self.draw(t, cfg.batch_size)
+                    if replica is not None:
+                        replica.start(t, idx, self.w)
+                    l1, g1 = self.half_loss_and_grad(idx, t, 0, drawn)
+                    l2, g2 = (replica.result() if replica is not None
+                              else self.half_loss_and_grad(idx, t, 1, drawn))
+                    loss, grad = (l1 + l2) / 2.0, (g1 + g2) / 2.0
+                    if t % self.tau == 0:
+                        groups = GroupedGradients.from_half_means(g1, g2, grad, self.partition,
+                                                                  cfg.batch_size)
+                elif t % self.tau == 0:
                     loss, grad, groups = self.grouped_loss_and_grad(idx, t, drawn)
                 else:
                     loss, grad = self.batch_loss_and_grad(idx, t, drawn)
@@ -591,6 +781,8 @@ class _Runner:
             # a draw for a step the run never reaches is dropped, error and all
             if pending is not None:
                 pending.join()
+            if replica is not None:
+                replica.close()
 
         summary = summarize(trace, self.partition.names, self.partition.anchor_name)
         summary.update(status="ok" if reason is None else "NaN", final_loss=final_loss)

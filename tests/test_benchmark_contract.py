@@ -85,6 +85,9 @@ SHORT = dict(total_iterations=20, warmup_iters=5)
     ("train-b256-sgd", {}),
     # AdamW with AGVM on, at a batch small enough for tier-1
     ("train-b2048-adamw", dict(batch_size=256, n_samples=2048)),
+    # at the workload's own batch, whose steps are two half passes, group 2's
+    # in a replica process: the run's process still records every span
+    ("train-b2048-adamw", {}),
 ])
 def test_training_run_records_every_required_span(tracing, workloads, workload, overrides):
     base = {"train-b256-sgd": workloads.MISALIGNMENT,

@@ -1,7 +1,12 @@
+import contextlib
 import functools
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import fields, replace
 
@@ -11,16 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agvm import harness
-from agvm.harness import (ExperimentConfig, LrSchedule, TraceRow, ablation_suite,
-                          config_from_pairs, emit_csv, load_config, lr_at,
+from agvm.harness import (ExperimentConfig, LrSchedule, ReplicaError, TraceRow,
+                          ablation_suite, config_from_pairs, emit_csv, load_config, lr_at,
                           phi_gap, read_csv, run_experiment, summary_text,
                           variance_trace)
 from agvm.models import ConfigError
-from agvm.optim import AgvmSgd, OptimizerError
+from agvm.optim import AgvmAdamW, AgvmSgd, OptimizerError
 from agvm.tensor import gradients
 
 FAST = dict(total_iterations=40, batch_size=16, n_samples=128, trunk_widths=(16,),
             levels=2, input_dim=8, head_width=8, warmup_iters=5, tau=10)
+
+# The benchmark's large-batch run (LARGE_BATCH in perfbench/workloads.py).
+LARGE_BATCH = dict(levels=4, batch_size=2048, total_iterations=200, input_dim=32,
+                   trunk_widths=(32,), head_width=16, output_dim=4, n_samples=8192,
+                   noise_std=0.1, optimizer="adamw", base_lr=0.08, warmup_iters=50,
+                   milestones=(800, 1200, 1600), decay_factor=0.3, tau=0)
 
 
 class TestLrSchedule:
@@ -567,6 +578,258 @@ class TestDrawAhead:
         run_experiment(ExperimentConfig(**FAST, **arm))
         variance_trace(ExperimentConfig(**FAST, **arm))
         assert threads == []
+
+
+def record_replicas(monkeypatch) -> list:
+    """Route the harness's replicas (``_Replica``) through a subclass that
+    keeps the pid of every replica it forks in the returned list."""
+    pids = []
+
+    class Recorded(harness._Replica):
+        def __init__(self, runner):
+            super().__init__(runner)        # returns only in the run's process
+            pids.append(self.pid)
+
+    monkeypatch.setattr(harness, "_Replica", Recorded)
+    return pids
+
+
+@contextlib.contextmanager
+def one_usable_cpu():
+    """Restrict the calling thread to one CPU for the block."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def reaped(pid: int) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def in_replica(parent: int, k: int, t: int) -> bool:
+    """Whether this call is the replica's half pass of step k."""
+    return os.getpid() != parent and t == k
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="the replica needs fork and two usable CPUs")
+class TestReplica:
+    """From REPLICA_MIN_BATCH on, a step is two half passes, group 2's in a
+    forked replica; every output equals the in-process run's, and the
+    replica is reaped on every exit from run()."""
+
+    @staticmethod
+    def outputs(cfg, train: bool, path) -> tuple:
+        res = harness._Runner(cfg).run(train)
+        emit_csv(res.trace, str(path))
+        return path.read_bytes(), summary_text(res.summary), repr(res.final_loss)
+
+    @settings(max_examples=30, deadline=None)
+    @given(optimizer=st.sampled_from(["sgd", "adamw"]), agvm=st.booleans(), train=st.booleans(),
+           proposals=st.integers(1, 4), std=st.sampled_from([0.0, 0.5]),
+           mask=st.sampled_from([0.0, 0.5, 0.75]), tau=st.integers(1, 4),
+           total=st.integers(0, 9), base_lr=st.sampled_from([0.04, 1e9]),
+           ahead=st.booleans(), seed=st.integers(0, 2 ** 31))
+    def test_the_replica_changes_no_output(self, tmp_path_factory, optimizer, agvm, train,
+                                           proposals, std, mask, tau, total, base_lr,
+                                           ahead, seed):
+        cfg = ExperimentConfig(**{**FAST, "warmup_iters": 0, "optimizer": optimizer,
+                                  "agvm_enabled": agvm, "proposals": proposals,
+                                  "proposal_noise_std": std, "mask_fraction": mask,
+                                  "tau": tau, "total_iterations": total,
+                                  "base_lr": base_lr, "seed": seed})
+        path = tmp_path_factory.mktemp("replica") / "trace.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "REPLICA_MIN_BATCH", 2)
+            mp.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", 0 if ahead else 1 << 62)
+            pids = record_replicas(mp)
+            forked = self.outputs(cfg, train, path)
+            assert len(pids) == 1 and reaped(pids[0])
+            with one_usable_cpu():
+                alone = self.outputs(cfg, train, path)
+            assert len(pids) == 1
+        assert forked == alone
+
+    @pytest.mark.parametrize("arm", [
+        pytest.param({}, id="none"),
+        pytest.param(dict(mask_fraction=0.75), id="mask:0.75"),
+        pytest.param(dict(proposals=4, proposal_noise_std=0.25), id="proposals:4"),
+        pytest.param(dict(head_mode="independent"), id="independent_heads"),
+    ])
+    def test_half_passes_are_twice_the_row_group_halves(self, arm):
+        runner = harness._Runner(ExperimentConfig(**LARGE_BATCH, **arm))
+        for t in (0, 5):
+            idx = runner.draw_batch()
+            loss, grad, groups = runner.grouped_loss_and_grad(idx, t)
+            (l1, g1), (l2, g2) = (runner.half_loss_and_grad(idx, t, part) for part in (0, 1))
+            for name, sl in runner.partition.slices.items():
+                # the half passes sum each half's rows in their own order
+                scale = np.abs(groups.g1[name]).max() + np.abs(groups.g2[name]).max()
+                np.testing.assert_allclose(g1[sl], groups.g1[name], rtol=0, atol=1e-13 * scale)
+                np.testing.assert_allclose(g2[sl], groups.g2[name], rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose((g1 + g2) / 2.0, grad, rtol=0,
+                                       atol=1e-13 * np.abs(grad).max())
+            assert (l1 + l2) / 2.0 == pytest.approx(loss, rel=1e-13, abs=0)
+
+    def test_the_gate_is_the_batch_size(self, monkeypatch):
+        # the benchmark's batch-256 workloads stay below it, batch 2048 above
+        assert 256 < harness.REPLICA_MIN_BATCH <= 2048
+        pids = record_replicas(monkeypatch)
+        at = ExperimentConfig(**{**LARGE_BATCH, "batch_size": harness.REPLICA_MIN_BATCH,
+                                 "total_iterations": 0, "warmup_iters": 0})
+        run_experiment(replace(at, batch_size=harness.REPLICA_MIN_BATCH - 2))
+        assert pids == []
+        run_experiment(at)
+        variance_trace(at)
+        assert len(pids) == 2 and all(map(reaped, pids))
+
+    def test_a_process_with_another_thread_runs_both_halves_itself(self, monkeypatch,
+                                                                   tmp_path):
+        monkeypatch.setattr(harness, "REPLICA_MIN_BATCH", 2)
+        pids = record_replicas(monkeypatch)
+        cfg = ExperimentConfig(**FAST, mask_fraction=0.5)
+        forked = self.outputs(cfg, True, tmp_path / "a.csv")
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            alone = self.outputs(cfg, True, tmp_path / "b.csv")
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert len(pids) == 1
+        assert forked == alone
+
+    def test_the_replica_runs_off_the_runs_cpu(self, monkeypatch):
+        # the replica reports its CPUs through the one channel back: a failure
+        monkeypatch.setattr(harness, "REPLICA_MIN_BATCH", 2)
+        monkeypatch.setattr(harness, "_current_cpu", lambda: min(os.sched_getaffinity(0)))
+        parent, real = os.getpid(), harness._Runner.half_loss_and_grad
+
+        def report(self, idx, t, part, drawn=None):
+            if os.getpid() != parent:
+                raise RuntimeError(f"cpus={sorted(os.sched_getaffinity(0))}")
+            return real(self, idx, t, part, drawn)
+
+        monkeypatch.setattr(harness._Runner, "half_loss_and_grad", report)
+        allowed = os.sched_getaffinity(0)
+        with pytest.raises(ReplicaError, match=re.escape(
+                f"cpus={sorted(allowed - {min(allowed)})}")):
+            run_experiment(ExperimentConfig(**FAST))
+        assert os.sched_getaffinity(0) == allowed
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_a_diverging_run_reaps_its_replica(self, monkeypatch, train):
+        monkeypatch.setattr(harness, "REPLICA_MIN_BATCH", 2)
+        pids = record_replicas(monkeypatch)
+        cfg = ExperimentConfig(**{**FAST, "warmup_iters": 0, "base_lr": 1e9, "tau": 1})
+        summary = harness._Runner(cfg).run(train).summary
+        assert summary["status"] == ("NaN" if train else "ok")
+        assert len(pids) == 1 and reaped(pids[0])
+
+    @pytest.mark.parametrize("optimizer", [AgvmSgd, AgvmAdamW])
+    def test_an_error_in_the_run_reaps_its_replica(self, monkeypatch, optimizer):
+        monkeypatch.setattr(harness, "REPLICA_MIN_BATCH", 2)
+        pids = record_replicas(monkeypatch)
+        err = OptimizerError("the step failed")
+        steps = []
+
+        def failing(self, *args, **kwargs):
+            steps.append(1)
+            if len(steps) == 3:
+                raise err
+
+        monkeypatch.setattr(optimizer, "step", failing)
+        cfg = ExperimentConfig(**FAST, optimizer="sgd" if optimizer is AgvmSgd else "adamw")
+        with pytest.raises(OptimizerError) as raised:
+            run_experiment(cfg)
+        assert raised.value is err
+        assert len(pids) == 1 and reaped(pids[0])
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_a_failing_replica_is_raised_from_run(self, monkeypatch, k):
+        monkeypatch.setattr(harness, "REPLICA_MIN_BATCH", 2)
+        pids = record_replicas(monkeypatch)
+        parent, real = os.getpid(), harness._Runner.half_loss_and_grad
+
+        def failing(self, idx, t, part, drawn=None):
+            if in_replica(parent, k, t):
+                raise MemoryError("no room for the half pass")
+            return real(self, idx, t, part, drawn)
+
+        monkeypatch.setattr(harness._Runner, "half_loss_and_grad", failing)
+        with pytest.raises(ReplicaError, match=f"at step {k}: Traceback(.|\n)*"
+                                               "MemoryError: no room for the half pass"):
+            run_experiment(ExperimentConfig(**FAST))
+        assert len(pids) == 1 and reaped(pids[0])
+
+    @pytest.mark.parametrize("how,code", [("exit", 3), ("kill", -signal.SIGKILL)])
+    def test_a_replica_that_dies_is_raised_from_run(self, monkeypatch, how, code):
+        monkeypatch.setattr(harness, "REPLICA_MIN_BATCH", 2)
+        pids = record_replicas(monkeypatch)
+        parent, real = os.getpid(), harness._Runner.half_loss_and_grad
+
+        def dying(self, idx, t, part, drawn=None):
+            if in_replica(parent, 2, t):
+                if how == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(self, idx, t, part, drawn)
+
+        monkeypatch.setattr(harness._Runner, "half_loss_and_grad", dying)
+        with pytest.raises(ReplicaError, match=f"at step 2: it exited with code {code}$"):
+            variance_trace(ExperimentConfig(**{**FAST, "tau": 1}))
+        assert len(pids) == 1 and reaped(pids[0])
+
+    def test_a_killed_run_leaves_no_replica(self):
+        from conftest import child_pids
+
+        script = ("import sys\n"
+                  "from agvm import harness\n"
+                  "harness.REPLICA_MIN_BATCH = 2\n"
+                  "cfg = harness.ExperimentConfig(batch_size=16, n_samples=128,\n"
+                  "                               total_iterations=10 ** 9)\n"
+                  "print('started', flush=True)\n"
+                  "harness.run_experiment(cfg)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.Popen([sys.executable, "-c", script], env=env,
+                               stdout=subprocess.PIPE, text=True)
+        try:
+            assert run.stdout.readline() == "started\n"
+            deadline = time.monotonic() + 30
+            while not child_pids(run.pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            replicas = child_pids(run.pid)
+            assert len(replicas) == 1
+            time.sleep(0.2)             # mid-run
+            assert run.poll() is None
+        finally:
+            run.kill()
+            run.wait(30)
+            run.stdout.close()
+        replica, = replicas
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            try:
+                with open(f"/proc/{replica}/stat", "rb") as fh:
+                    state = fh.read().rsplit(b")", 1)[1].split()[0]
+            except FileNotFoundError:
+                break
+            if state == b"Z":           # exited; its new parent has not reaped it yet
+                break
+            time.sleep(0.01)
+        else:
+            pytest.fail(f"replica {replica} outlived its killed run by 30 s")
 
 
 class TestCsv:
