@@ -184,8 +184,8 @@ class ExperimentConfig:
     seed: int = 1
     # accepted and validated (>= 1) so existing config files and flags keep
     # working, but a run does not use it: below REPLICA_MIN_BATCH a step is
-    # one reverse pass, and above it the two half passes always run on the
-    # run's process and one replica, whatever this says
+    # one reverse pass, and from it on two half passes, one of them in a
+    # replica process wherever the machine allows (_Runner.run)
     workers: int = 1
     # modulation (tau=0 picks the default: 10, or 5 above batch 1024)
     agvm_enabled: bool = True
@@ -612,6 +612,7 @@ class _Replica:
 
 
 def _usable_cpus() -> int:
+    """The number of CPUs the calling thread may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
