@@ -67,11 +67,8 @@ from __future__ import annotations
 
 import ctypes
 import math
-import mmap
 import os
-import signal
 import threading
-import traceback
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -524,6 +521,11 @@ class _Replica:
     """
 
     def __init__(self, runner: "_Runner"):
+        # mmap, signal and traceback are imported only by a run that forks a
+        # replica: imported with the module, they added about 3 ms to every
+        # process that imports agvm
+        import mmap
+
         n, b = runner.w.size, runner.config.batch_size
         # an anonymous mapping is shared with the forked child
         self._shared = mmap.mmap(-1, 8 * (2 * n + 1 + b))
@@ -543,19 +545,22 @@ class _Replica:
         if self.pid == 0:
             status = 1
             try:
-                os.close(self._commands)
-                os.close(self._replies)
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                _leave_cpu(creator_cpu)
-                self._serve(runner, commands, replies)
+                self._serve(runner, commands, replies, creator_cpu)
                 status = 0
             finally:
                 os._exit(status)        # never return into the run's code
         os.close(commands)
         os.close(replies)
 
-    def _serve(self, runner: "_Runner", commands: int, replies: int):
-        """The replica's loop: one half pass per command, until EOF."""
+    def _serve(self, runner: "_Runner", commands: int, replies: int, creator_cpu: Optional[int]):
+        """The replica's life: one half pass per command, until EOF."""
+        import signal
+        import traceback
+
+        os.close(self._commands)
+        os.close(self._replies)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        _leave_cpu(creator_cpu)
         while True:
             word = os.read(commands, 8)
             if not word:

@@ -790,6 +790,21 @@ class TestReplica:
             variance_trace(ExperimentConfig(**{**FAST, "tau": 1}))
         assert len(pids) == 1 and reaped(pids[0])
 
+    def test_the_replica_ignores_an_interrupt(self, monkeypatch):
+        # a Ctrl-C reaches the whole process group; handling it is the run's
+        monkeypatch.setattr(harness, "REPLICA_MIN_BATCH", 2)
+        cfg = ExperimentConfig(**FAST)
+        want = run_experiment(cfg).trace
+        parent, real = os.getpid(), harness._Runner.half_loss_and_grad
+
+        def interrupted(self, idx, t, part, drawn=None):
+            if in_replica(parent, 2, t):
+                os.kill(os.getpid(), signal.SIGINT)
+            return real(self, idx, t, part, drawn)
+
+        monkeypatch.setattr(harness._Runner, "half_loss_and_grad", interrupted)
+        assert run_experiment(cfg).trace == want
+
     def test_a_killed_run_leaves_no_replica(self):
         from conftest import child_pids
 
