@@ -23,15 +23,13 @@ from agvm.harness import (ExperimentConfig, LrSchedule, ReplicaError, TraceRow,
 from agvm.models import ConfigError
 from agvm.optim import AgvmAdamW, AgvmSgd, OptimizerError
 from agvm.tensor import gradients
+from test_benchmark_contract import _load
 
 FAST = dict(total_iterations=40, batch_size=16, n_samples=128, trunk_widths=(16,),
             levels=2, input_dim=8, head_width=8, warmup_iters=5, tau=10)
 
-# The benchmark's large-batch run (LARGE_BATCH in perfbench/workloads.py).
-LARGE_BATCH = dict(levels=4, batch_size=2048, total_iterations=200, input_dim=32,
-                   trunk_widths=(32,), head_width=16, output_dim=4, n_samples=8192,
-                   noise_std=0.1, optimizer="adamw", base_lr=0.08, warmup_iters=50,
-                   milestones=(800, 1200, 1600), decay_factor=0.3, tau=0)
+# The benchmark's large-batch run.
+LARGE_BATCH = _load("workloads").LARGE_BATCH
 
 
 class TestLrSchedule:
