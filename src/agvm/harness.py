@@ -24,12 +24,13 @@ step it loads the weights from a buffer shared with the run, draws the
 step's masks and noise itself from the step's seed, keeping its own rows
 (``draw_noise`` gives batch position j row j of its arrays), and writes back
 its loss and packed gradient; the optimizer runs only in the run's process.
-With one usable CPU, without ``os.fork``, or while the process has another
-thread, the run computes both half passes itself, in the same arithmetic, so
-every output depends on the config alone. The replica exits when its command
-pipe closes, which happens on every exit from ``run()`` and when the run's
-process dies, and ``run()`` reaps it; a replica that fails is raised from
-``run()`` as a ReplicaError.
+Each side polls its pipe for a moment (``REPLICA_POLL_S``) before it sleeps
+waiting for the other. With one usable CPU, without ``os.fork``, or while
+the process has another thread, the run computes both half passes itself, in
+the same arithmetic, so every output depends on the config alone. The
+replica exits when its command pipe closes, which happens on every exit from
+``run()`` and when the run's process dies, and ``run()`` reaps it; a replica
+that fails is raised from ``run()`` as a ReplicaError.
 
 Two pieces of work run on a second thread, each on a thread started for that
 one call (``_InThread``) and joined before its caller returns. When a step's
@@ -439,11 +440,14 @@ DRAW_AHEAD_MIN_ELEMENTS = 1 << 16
 # fixed, and the work it takes off the run's process grows with the batch.
 # The benchmark's AdamW large-batch model (200 steps, BLAS 1 thread, 2-core
 # VM), alternating pairs of processes, median wall time per run, all in
-# process -> with the replica, pairs it won:
-#   batch 512:  0.329 -> 0.321 s, 3 of 8; 0.359 -> 0.350 s, 4 of 8
+# process -> with the replica, pairs it won; three sessions before the pipe
+# polling below, then one with it:
+#   batch 512:  0.329 -> 0.321 s, 3 of 8; 0.359 -> 0.350 s, 4 of 8;
+#               0.400 -> 0.372 s, 4 of 6
 #   batch 1024: 0.570 -> 0.465 s, 7 of 8; 0.500 -> 0.453 s, 6 of 8;
-#               0.559 -> 0.452 s, 8 of 8
-#   batch 2048: 1.065 -> 0.699 s, 8 of 8; 1.093 -> 0.716 s, 8 of 8
+#               0.559 -> 0.452 s, 8 of 8; 0.614 -> 0.473 s, 6 of 6
+#   batch 2048: 1.065 -> 0.699 s, 8 of 8; 1.093 -> 0.716 s, 8 of 8;
+#               1.112 -> 0.722 s, 6 of 6
 REPLICA_MIN_BATCH = 1024
 
 # A side that waits for the other (the run for a reply, the replica for its
