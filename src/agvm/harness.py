@@ -5,70 +5,51 @@ One loop (``_Runner.run``) draws even-sized mini-batches from a synthetic
 dataset and, every tau iterations (aligned with modulation), records
 per-module rows of the learning-rate-free variance proxy, the current
 multiplier, the effective learning rate, the loss, and the squared gradient
-norm. Training updates a multi-module model with one of the modulated
-optimizers at every step; an update-free variance trace runs only the traced
-steps, at the initial parameters. Below ``REPLICA_MIN_BATCH`` rows, the two
-half-batch gradients feeding the proxy come from the same single whole-batch
-backward pass as the step gradient: the pass splits each parameter gradient
-into the odd and even batch rows (``gradients(..., row_groups=2)``), and
-twice each part is the mean of that half's per-sample gradients.
+norm. Training updates the model at every step; an update-free variance
+trace runs only the traced steps, at the initial parameters. Below
+``REPLICA_MIN_BATCH`` rows, G1 and G2 come from the step's own reverse pass
+(``grouped_loss_and_grad``); from it on, a step is two half-batch passes, as
+the paper's two groups of data-parallel workers compute it, group 2's in a
+replica process (``half_loss_and_grad``, ``_Replica``).
 
-From ``REPLICA_MIN_BATCH`` rows on, a step is two half-batch passes, as the
-paper's two groups of data-parallel workers compute it: group 1's over the
-rows ``idx[0::2]`` in the run's process, and group 2's over ``idx[1::2]`` at
-the same time in a replica process (``_Replica``). G1 and G2 are the two
-passes' gradients, the step's gradient is their mean, and its loss the mean
-of their losses. The replica is forked once when the run starts, before the
-run starts any thread, and moves off the run's CPU (``_leave_cpu``). Each
-step it loads the weights from a buffer shared with the run, draws the
-step's masks and noise itself from the step's seed, keeping its own rows
-(``draw_noise`` gives batch position j row j of its arrays), and writes back
-its loss and packed gradient; the optimizer runs only in the run's process.
-Each side polls its pipe for a moment (``REPLICA_POLL_S``) before it sleeps
-waiting for the other. With one usable CPU, without ``os.fork``, or while
-the process has another thread, the run computes both half passes itself, in
-the same arithmetic, so every output depends on the config alone. The
-replica exits when its command pipe closes, which happens on every exit from
-``run()`` and when the run's process dies, and ``run()`` reaps it; a replica
-that fails is raised from ``run()`` as a ReplicaError.
+Concurrency contract; every output stays a function of the config alone:
 
-Two pieces of work run on a second thread, each on a thread started for that
-one call (``_InThread``) and joined before its caller returns. When a step's
-proposal-noise array is large (at least ``DRAW_AHEAD_MIN_ELEMENTS``
-elements, a count fixed by the model config and the batch size), the loop
-draws each step's noise one step ahead: at the start of a step it starts a
-thread that calls ``draw_noise`` for the next step, and joins it when that
-step begins. Below the gate, or when the model draws nothing, the loop draws
-inline: starting and joining a thread costs more than a small draw. The
-batch draw stays on the main thread, so the batch RNG is used by one thread
-only. ``oracle_check`` runs the brute-force oracle on a thread while the
-main thread resamples the estimate. Both pieces spend their time in numpy
-calls that release the GIL (the noise fill, the oracle's BLAS products), so
-they run on a second core. Each draws from a generator of its own (a draw's
-seed depends only on its step) and reads only arrays that nothing writes
-while it runs, so every output is the same bit for bit as running it inline.
-A worker's exception is raised from ``run()`` or ``oracle_check``, and no
-thread outlives either.
+- In-run: a large step's proposal noise (``DRAW_AHEAD_MIN_ELEMENTS``) is
+  drawn one step ahead, and ``oracle_check`` runs the brute-force oracle
+  beside the estimate, each on a thread started for that call
+  (``_InThread``); a large-batch run forks a replica when it starts. Each
+  reads only what nothing writes meanwhile and draws from a generator of
+  its own, so its bits equal the inline computation's. A worker's failure
+  is raised from its caller, and none outlives the run or the check.
+- Across runs: ``run_battery`` runs independent runs on ``min(len(configs),
+  usable CPUs)`` workers, the caller and forked children, assigned by a
+  rule on the configs alone (``_plan``), and returns the results in config
+  order. A child's exception is re-raised by the caller, which kills and
+  reaps its children on every exit. ``ablation_suite`` runs its arms so.
+- Core budget: while a battery runs, each worker, the caller too, has one
+  core (``_core_budget``): no draw-ahead thread, no replica, and OpenBLAS on
+  one thread, as in a replica. No BLAS call's bits depend on its thread
+  count (squared_error sums in fixed blocks), so every path gives the same
+  bytes.
+- A process forks (``_fork``) only where ``os.fork`` exists, a second CPU
+  is usable and no other thread is alive (``_can_fork``): a fork copies one
+  thread, and a lock another holds stays held. Otherwise the work runs
+  in-process, a battery's runs in order. A forked child ignores SIGINT, and
+  it and every worker thread leave their creator's CPU (``_leave_cpu``): on
+  a 2-core VM whose cpusets turn load balancing off, they often stayed.
 
-A new thread can start on its creator's CPU and stay there. On a 2-core VM
-whose cpusets turn the kernel's load balancing off, that held for whole
-processes: in one, 14 of 15 oracle workers started on the main thread's CPU,
-and each check took as long as running its halves in turn. So each worker
-first restricts itself to the CPUs its process may use other than the one
-its creator ran on when it was started (``_leave_cpu``); with a single
-usable CPU it runs where it is. A thread is started fresh for each use
-rather than kept in a pool: a persistent worker thread woken every step,
-tried before workers left their creator's CPU, stayed on the main thread's
-core for whole processes. The replica is persistent, but it is a process
-whose CPUs are set once, when it is forked, so it keeps off the run's core
-for the whole run.
+Measurements behind each choice: BENCH_draw_ahead.json, BENCH_replica.json,
+BENCH_oracle_overlap.json and BENCH_battery_fanout.json.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
+import pickle
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, fields, replace
@@ -182,9 +163,8 @@ class ExperimentConfig:
     total_iterations: int = 2000
     seed: int = 1
     # accepted and validated (>= 1) so existing config files and flags keep
-    # working, but a run does not use it: below REPLICA_MIN_BATCH a step is
-    # one reverse pass, and from it on two half passes, one of them in a
-    # replica process wherever the machine allows (_Runner.run)
+    # working, but ignored: a run's processes and threads follow the usable
+    # CPUs (the module docstring's concurrency contract), never this key
     workers: int = 1
     # modulation (tau=0 picks the default: 10, or 5 above batch 1024)
     agvm_enabled: bool = True
@@ -422,41 +402,19 @@ class RunResult:
     summary: dict
 
 
-# A step's noise is drawn one step ahead, on a thread started for that one
-# draw, only when its array holds at least this many elements. numpy fills
-# the array without holding the GIL, so the draw overlaps the current step's
-# forward and backward pass, but each thread costs about 0.3 ms of CPU to
-# start and join. MISALIGNMENT with proposal_noise_std 0.25, 2000 steps,
-# 2-core VM, BLAS 1 thread, 6 alternating pairs, median wall time inline ->
-# ahead: 16,384 elements (K=1) 3.62 -> 3.82 s, 3 of 6 pairs faster;
-# 32,768 (K=2) 4.38 -> 4.13 s, 4 of 6 faster, within the 3.3-5.5 s spread;
-# 65,536 (K=4) 6.30 -> 5.22 s, 6 of 6 faster.
+# A step's noise is drawn one step ahead only when its array holds at least
+# this many elements: numpy fills it without holding the GIL, but a thread
+# costs about 0.3 ms of CPU to start and join (BENCH_draw_ahead.json).
 DRAW_AHEAD_MIN_ELEMENTS = 1 << 16
 
 # From this batch size on, every step is two half-batch passes, group 2's in a
-# replica process (``_Replica``) while the run computes group 1's. The
-# replica's per-step cost (a pipe round trip, copying the weights, the batch
-# rows and its gradient, drawing the whole step's masks and noise) is about
-# fixed, and the work it takes off the run's process grows with the batch.
-# The benchmark's AdamW large-batch model (200 steps, BLAS 1 thread, 2-core
-# VM), alternating pairs of processes, median wall time per run, all in
-# process -> with the replica, pairs it won; three sessions before the pipe
-# polling below, then one with it:
-#   batch 512:  0.329 -> 0.321 s, 3 of 8; 0.359 -> 0.350 s, 4 of 8;
-#               0.400 -> 0.372 s, 4 of 6
-#   batch 1024: 0.570 -> 0.465 s, 7 of 8; 0.500 -> 0.453 s, 6 of 8;
-#               0.559 -> 0.452 s, 8 of 8; 0.614 -> 0.473 s, 6 of 6
-#   batch 2048: 1.065 -> 0.699 s, 8 of 8; 1.093 -> 0.716 s, 8 of 8;
-#               1.112 -> 0.722 s, 6 of 6
+# replica process: the replica's per-step cost is about fixed, and the work it
+# takes off the run's process grows with the batch (BENCH_replica.json "gate").
 REPLICA_MIN_BATCH = 1024
 
-# A side that waits for the other (the run for a reply, the replica for its
-# next command) polls its pipe for up to this long before it sleeps. On a
-# shared 2-core VM, a vCPU that went idle between steps was slow to wake: 4
-# alternating pairs of in-process loops of 8 large-batch runs, median wall
-# time per run sleeping -> polling: 0.835 -> 0.702, 1.046 -> 0.886,
-# 1.116 -> 0.760 and 1.088 -> 0.751 s, with the two vCPUs' steal time over
-# each loop at 101-385 jiffies sleeping and 2-182 polling.
+# A side that waits for the other polls its pipe for up to this long before
+# it sleeps: a vCPU that went idle between steps was slow to wake (CHANGES.md,
+# two-replica entry; BENCH_replica.json "processes").
 REPLICA_POLL_S = 2e-3
 
 
@@ -520,24 +478,19 @@ class ReplicaError(RuntimeError):
 
 
 class _Replica:
-    """A forked copy of a run that computes group 2's half of each step,
-    ``half_loss_and_grad(idx, t, 1)``, while the run computes group 1's.
-
-    Per step the run writes its weights and the batch rows into a shared
-    buffer (``start``) and sends t down a command pipe; the replica loads
-    the weights, draws the step's masks and noise itself from t, and writes
-    back its loss and packed gradient, which ``result`` returns. The
-    optimizer runs only in the run's process. The replica ignores SIGINT
-    and exits on EOF of the command pipe, which ``close`` causes and the
-    run's death causes too, so it never outlives the run; ``close`` reaps
-    it. A replica that fails or exits is raised from ``result`` or
-    ``start`` as a ReplicaError.
+    """A forked copy of a run (``_fork``) that computes group 2's half of
+    each step, ``half_loss_and_grad(idx, t, 1)``, while the run computes
+    group 1's. Per step ``start`` writes the weights and the batch rows into
+    a shared buffer and sends t down a command pipe; ``result`` returns the
+    loss and packed gradient the replica wrote back. The replica exits on
+    EOF of the command pipe, which ``close`` (or the run's death) causes;
+    ``close`` reaps it. A replica that fails or exits is raised from
+    ``result`` or ``start`` as a ReplicaError.
     """
 
     def __init__(self, runner: "_Runner"):
-        # mmap, select, signal and traceback are imported only where a
-        # replica needs them: imported with the module, they added about
-        # 3 ms to every process that imports agvm
+        # imported only where a replica needs it: mmap, select, signal and
+        # traceback at module level added about 3 ms to every import of agvm
         import mmap
 
         n, b = runner.w.size, runner.config.batch_size
@@ -547,35 +500,24 @@ class _Replica:
         self.w, self.grad, self.loss = floats[:n], floats[n:2 * n], floats[2 * n:]
         self.idx = np.frombuffer(self._shared, np.int64, b, offset=8 * (2 * n + 1))
         self.t = None
-        creator_cpu = _current_cpu()
         commands, self._commands = os.pipe()
         self._replies, replies = os.pipe()
         try:
-            self.pid = os.fork()
+            self.pid = _fork(lambda: self._serve(runner, commands, replies))
         except OSError:
             for fd in (commands, self._commands, self._replies, replies):
                 os.close(fd)
             raise
-        if self.pid == 0:
-            status = 1
-            try:
-                self._serve(runner, commands, replies, creator_cpu)
-                status = 0
-            finally:
-                os._exit(status)        # never return into the run's code
         os.close(commands)
         os.close(replies)
         os.set_blocking(self._replies, False)
 
-    def _serve(self, runner: "_Runner", commands: int, replies: int, creator_cpu: Optional[int]):
+    def _serve(self, runner: "_Runner", commands: int, replies: int):
         """The replica's life: one half pass per command, until EOF."""
-        import signal
         import traceback
 
         os.close(self._commands)
         os.close(self._replies)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        _leave_cpu(creator_cpu)
         os.set_blocking(commands, False)
         while True:
             word = _await(commands, 8)
@@ -652,6 +594,71 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _can_fork() -> bool:
+    """Whether this process may fork a worker: ``os.fork`` exists, a second
+    CPU is usable, and no other thread is alive."""
+    return hasattr(os, "fork") and _usable_cpus() > 1 and threading.active_count() == 1
+
+
+# The cores each run may use: None, or 1 while run_battery's workers run, so
+# that no run starts a draw-ahead thread or forks a replica
+_core_budget: Optional[int] = None
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas() -> tuple:
+    """The (get, set) thread-count functions of each OpenBLAS this process
+    has loaded, found by path in /proc/self/maps; none without /proc."""
+    found = []
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                         "openblas_{}_num_threads"):
+                if hasattr(lib, name.format("set")):
+                    get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    put.argtypes, put.restype = (ctypes.c_int,), None
+                    found.append((get, put))
+                    break
+    except OSError:
+        pass
+    return tuple(found)
+
+
+def _blas_threads(counts) -> list:
+    """Set each OpenBLAS's thread count to ``counts`` (one int for all, or
+    a list as this returns) and return the counts they had."""
+    old = [get() for get, _ in _openblas()]
+    for i, (_, set_threads) in enumerate(_openblas()):
+        set_threads(counts if isinstance(counts, int) else counts[i])
+    return old
+
+
+def _fork(serve) -> int:
+    """Fork a worker process; its pid. The worker ignores SIGINT (a Ctrl-C
+    is its creator's to handle), leaves its creator's CPU, runs BLAS on one
+    thread, calls ``serve()`` and exits by ``os._exit``: 0, or 1 when
+    ``serve`` raised."""
+    import signal
+
+    creator_cpu = _current_cpu()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            _leave_cpu(creator_cpu)
+            _blas_threads(1)
+            serve()
+            status = 0
+        finally:
+            os._exit(status)        # never return into the creator's code
+    return pid
+
+
 class _Runner:
     """Shared machinery for training runs and update-free variance traces."""
 
@@ -708,12 +715,9 @@ class _Runner:
 
     def grouped_loss_and_grad(self, idx: np.ndarray, t: int, drawn: Optional[tuple] = None):
         """One whole-batch backward split by odd/even rows; (loss, flat grad,
-        GroupedGradients).
-
-        Every sample keeps equally many loss elements, so twice the odd
-        (even) rows' share of the gradient is the mean of that half's
-        per-sample gradients: exactly the odd/even split of the batch.
-        """
+        GroupedGradients). Every sample keeps equally many loss elements, so
+        twice the odd (even) rows' share of the gradient is the mean of that
+        half's per-sample gradients."""
         loss = self.forward(idx, t, drawn)
         halves = gradients(loss, self.model.params, row_groups=2).packed
         halves *= 2.0
@@ -728,11 +732,8 @@ class _Runner:
         rows ``idx[part::2]``; (loss, flat grad), each the mean over that
         half. ``drawn`` is the whole batch's ``(masks, noise)``, drawn here
         when None; draw_noise gives batch position j row j of its arrays, so
-        the half takes its own rows of the step's draw.
-
-        Every sample keeps equally many loss elements, so the two halves'
-        gradients are G1 and G2, and their mean and the mean of their losses
-        are the whole batch's gradient and loss."""
+        the half takes its own rows of the step's draw. The two halves'
+        gradients are G1 and G2, and their means are the whole batch's."""
         masks, noise = self.draw(t, len(idx)) if drawn is None else drawn
         half = (None if masks is None else masks[part::2],
                 None if noise is None else noise[:, :, part::2])
@@ -764,16 +765,14 @@ class _Runner:
         a step t >= 1 halts the run before that step's rows."""
         cfg = self.config
         stride = 1 if train else self.tau
-        ahead = self.draws_ahead()
+        spare_core = _core_budget is None or _core_budget > 1
+        ahead = spare_core and self.draws_ahead()
         halves = cfg.batch_size >= REPLICA_MIN_BATCH
         trace = []
         diverged_at, reason = -1, None
         pending = None      # the worker drawing this step's noise, if any
-        # forked before this run starts a thread, and only from a process
-        # that has no other: a fork copies one thread, and any lock another
-        # one holds stays held in the child
-        replica = (_Replica(self) if halves and hasattr(os, "fork") and _usable_cpus() > 1
-                   and threading.active_count() == 1 else None)
+        # forked before this run starts a thread
+        replica = _Replica(self) if halves and spare_core and _can_fork() else None
         try:
             for t in range(0, cfg.total_iterations + 1, stride):
                 drawn = None if pending is None else pending.result()
@@ -846,6 +845,124 @@ def variance_trace(config: ExperimentConfig) -> RunResult:
     return _Runner(config).run(train=False)
 
 
+class BatteryError(RuntimeError):
+    """A battery's worker process exited before it reported one of its runs."""
+
+
+def _cost(config: ExperimentConfig, train: bool) -> int:
+    """A run's cost, from its config alone: levels x proposals x batch size x
+    evaluated steps."""
+    model = config.model_config()
+    steps = config.total_iterations // (1 if train else config.effective_tau()) + 1
+    return model.levels * model.proposals * config.batch_size * steps
+
+
+def _plan(configs: list, train: bool, workers: int) -> list:
+    """The config indices each worker runs, worker 0 being the calling
+    process: costliest first, each to the least-loaded worker, children
+    before the caller on ties."""
+    costs = [_cost(config, train) for config in configs]
+    loads, plan = [0] * workers, [[] for _ in range(workers)]
+    for i in sorted(range(len(configs)), key=lambda i: -costs[i]):
+        w = min(range(workers), key=lambda w: (loads[w], w == 0, w))
+        loads[w] += costs[i]
+        plan[w].append(i)
+    return [sorted(runs) for runs in plan]
+
+
+class _BatteryChild:
+    """A forked worker (``_fork``) that runs ``configs[i]`` for each i in
+    ``runs`` and reports each run to a temporary file as one pickle,
+    ``(i, raised, result or exception)``, up to the first run that raises."""
+
+    def __init__(self, run, configs: list, runs: list):
+        self.configs, self.runs = configs, runs
+        self.reports = tempfile.TemporaryFile()
+        try:
+            self.pid = _fork(lambda: self._serve(run))
+        except OSError:
+            self.reports.close()
+            raise
+
+    def _serve(self, run):
+        import traceback
+
+        for i in self.runs:
+            try:
+                report = (i, False, run(self.configs[i]))
+            except Exception as exc:
+                try:
+                    report = (i, True, pickle.loads(pickle.dumps(exc)))
+                except Exception:       # an exception that does not survive pickling
+                    report = (i, True, RuntimeError(traceback.format_exc()))
+            os.write(self.reports.fileno(), pickle.dumps(report))
+            if report[1]:
+                return
+
+    def collect(self, results: list):
+        """Wait for the child to exit and put its results into ``results``;
+        raise what one of its runs raised, or BatteryError for the first run
+        it never reported."""
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        self.reports.seek(0)
+        lost = list(self.runs)
+        while lost:
+            try:
+                i, raised, value = pickle.load(self.reports)
+            except (EOFError, pickle.UnpicklingError):   # the end, or cut short by its death
+                config = self.configs[lost[0]]
+                raise BatteryError(
+                    f"run {lost[0]} of the battery (seed {config.seed}, ablation "
+                    f"{config.ablation}) was lost: its worker process exited with code "
+                    f"{os.waitstatus_to_exitcode(status)}") from None
+            if raised:
+                raise value
+            results[i] = value
+            lost.remove(i)
+
+    def close(self):
+        """Kill the child unless it was collected, reap it, and drop its reports."""
+        if self.pid is not None:
+            os.kill(self.pid, 9)        # SIGKILL
+            os.waitpid(self.pid, 0)
+        self.reports.close()
+
+
+def run_battery(configs, train: bool = True) -> list:
+    """Each config's ``run_experiment`` result (``variance_trace`` without
+    ``train``), in config order, the runs side by side on the calling
+    process and forked children, one core each (the module docstring's
+    concurrency contract). Every config is validated before any run starts.
+    With one usable CPU, without ``os.fork`` or while another thread is
+    alive, the runs go in order in the calling process."""
+    global _core_budget
+    configs = list(configs)
+    for config in configs:
+        config.validate()
+    run = run_experiment if train else variance_trace
+    workers = min(len(configs), _usable_cpus())
+    if workers < 2 or not _can_fork():
+        return [run(config) for config in configs]
+    plan = _plan(configs, train, workers)
+    results, children = [None] * len(configs), []
+    budget, _core_budget = _core_budget, 1
+    threads = _blas_threads(1)
+    try:
+        for runs in plan[1:]:
+            children.append(_BatteryChild(run, configs, runs))
+        for i in plan[0]:
+            results[i] = run(configs[i])
+        for child in children:
+            child.collect(results)
+    finally:
+        _core_budget = budget
+        _blas_threads(threads)
+        for child in children:
+            child.close()
+    return results
+
+
 def summarize(trace: list, names: tuple, anchor_name: str) -> dict:
     """Per-module time averages over the post-warmstart trace (iter >= 1)."""
     rows = [row for row in trace if row.iter >= 1]
@@ -898,22 +1015,22 @@ def ablation_suite(base_config: ExperimentConfig) -> dict:
     swamps the architectural effect the phi-gap is meant to expose.
 
     Arms differ only in their model config, so arms that resolve to equal
-    ones (proposals_1 on a jittered base is the shared arm) are run once;
-    each arm still gets its own summary dict.
+    ones (proposals_1 on a jittered base is the shared arm) are run once,
+    the distinct ones side by side (``run_battery``); each arm still gets
+    its own summary dict.
     """
     if base_config.head_mode != "shared" or not base_config.pyramid:
         raise ConfigError("ablation_suite needs a shared-head pyramid base config")
     if base_config.ablation != "none":
         raise ConfigError("ablation_suite applies its own arms; set ablation=none")
-    runs = {}
-    results = {}
+    keys, distinct = {}, {}
     for arm in ABLATION_ARMS:
         cfg = replace(base_config, ablation=arm)
-        key = cfg.model_config()
-        if key not in runs:
-            runs[key] = variance_trace(cfg).summary
-        results[arm] = dict(runs[key])
-    return results
+        keys[arm] = cfg.model_config()
+        distinct.setdefault(keys[arm], cfg)
+    results = run_battery(distinct.values(), train=False)
+    summaries = {key: res.summary for key, res in zip(distinct, results)}
+    return {arm: dict(summaries[key]) for arm, key in keys.items()}
 
 
 def emit_csv(trace: list, path: str):
@@ -970,14 +1087,9 @@ def oracle_check(seed: int = 0, n: Optional[int] = None, b: Optional[int] = None
     ConfigError, naming every violated constraint, for a negative seed,
     fewer than 100 resamples, or a b that is odd or outside [2, n].
 
-    After one per-sample pass the check has two independent halves, run at
-    once: a worker thread computes the brute-force oracle (generator
-    ``seed + 4``) while this thread averages the estimate over resampled
-    mini-batches (generator ``seed + 3``). Each half reads only the per-sample
-    matrix and the partition's slices, which neither writes, and draws from
-    its own generator, so every value is the same bit for bit as running the
-    halves one after the other. The oracle's time is almost all in BLAS
-    products that release the GIL, so it runs on a second core. The worker is
+    After one per-sample pass, a worker thread computes the brute-force
+    oracle (generator ``seed + 4``) while this thread averages the estimate
+    over resampled mini-batches (generator ``seed + 3``). The worker is
     joined on every exit: its exception is raised from here, and one raised
     by the estimate propagates after the join.
     """

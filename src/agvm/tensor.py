@@ -11,87 +11,32 @@ side, whose gradient is the sum of the K blocks). Anything richer raises
 ShapeError.
 
 Graph recording is thread-local: the first recorded operation on a thread
-opens a fresh tape, later operations append to it, and a reverse pass
-consumes it. A forward pass starts with ``new_graph()``, which drops a tape
-whose loss never reached a reverse pass, so an abandoned graph is neither
-kept alive nor walked by the next one. Distinct threads therefore build
-and consume independent tapes, and may share leaf tensors as long as they
-only read them.
+opens a fresh tape, and a reverse pass consumes it. A forward pass starts
+with ``new_graph()``, which drops a tape whose loss never reached a reverse
+pass. Threads may share leaf tensors as long as they only read them.
 
-A record holds what its pull reads and nothing else: ``(pull, tracked,
-parents)``. ``parents`` has one entry per input: the index of the record
-that produced it (a non-leaf input, whose tensor carries that index as
-``node``), the leaf tensor itself (a ``requires_grad`` leaf), or None (a
-constant). No record and no pull holds a tensor other than a
-``requires_grad`` leaf, and a pull captures only the arrays its gradients
-read: a matmul or a multiply keeps an operand only when the other one is
-tracked, a relu its own output, a squared_error the difference, a
-masked_select the mask and a shape. So a forward intermediate lives only
-as long as a pull or the caller reads it: a matmul output that feeds a
-bias add, a bias-add output that feeds relu or squared_error, and a
-constant operand such as the proposal noise are freed as soon as the
-model code drops them.
+A record (``Tape``) holds no tensor but a ``requires_grad`` leaf, and a
+pull captures only the arrays its gradients read, so a forward intermediate
+lives only as long as a pull or the caller reads it. A pull computes
+gradients only for the inputs that were tracked. The reverse pass (``_walk``)
+pops each record as it walks it, freeing what its pull captured by
+reference counting.
 
-Each record's ``tracked`` mask says which inputs were tracked (required
-gradients or belonged to the tape) when the operation ran; the operation
-checks input provenance in the same pass that builds ``parents``. The
-reverse pass hands that mask to the pull, and a pull computes gradients
-only for tracked inputs and returns None for constant ones: a constant left
-matmul operand (the data batch), a loss target or a loss weight costs no
-kernel. An equal-shape add passes its incoming gradient through uncopied,
-so one array can reach several tensors; the reverse pass adds
-contributions to non-leaf tensors out of place.
+At import this module raises glibc's mmap threshold to 32 MiB and its trim
+threshold to 256 MiB and caps glibc at one malloc arena (``mallopt``), so
+what a reverse pass frees stays on the one heap for the next step, also for
+arrays allocated on a worker thread. It does nothing where the C library
+has no ``mallopt`` or the environment sets ``GLIBC_TUNABLES`` or one of
+``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` and ``MALLOC_TOP_PAD_``.
 
-A reverse pass consumes its tape record by record, starting at the loss's
-record: each record is popped as it is walked, so its pull closure, and
-with it the forward arrays the closure captured, is freed as soon as that
-pull has run, and each non-leaf gradient is dropped once the record that
-produced its tensor has been walked. Records do not refer to tensors that
-hold the tape, so a spent graph is freed by reference counting rather than
-by the cyclic garbage collector, and none of it outlives ``gradients``.
-
-Freed memory stays on the process heap. At import this module raises
-glibc's mmap threshold to 32 MiB and its trim threshold to 256 MiB
-(``mallopt``), so every array below 32 MiB comes from the heap, and what a
-reverse pass frees is reused by the next forward pass instead of being
-returned to the kernel and faulted back in page by page. Freeing during
-the walk and keeping freed memory pay only together: without the
-thresholds, each walk trims the heap top and the next step faults it back.
-It also caps glibc at one malloc arena (``M_ARENA_MAX``), so an array
-allocated on another thread (the harness draws large proposal noise on a
-worker thread) comes from the main heap and its freed memory, instead of
-from a second arena whose memory the main thread never reuses. All three
-calls are skipped where the C library has no ``mallopt`` (not glibc), and
-where the environment already sets ``GLIBC_TUNABLES`` or one of glibc's
-``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` and
-``MALLOC_TOP_PAD_``: allocator choices made at process start win.
-
-``gradients(loss, wrt, row_groups)`` is the one reverse pass, and every
-``wrt`` tensor must be a leaf. It lays the ``wrt`` tensors out side by side
-in one preallocated flat buffer, ``[total]`` or ``[k, total]``, and writes
-each leaf's first contribution straight into its slot (a matmul with
-``out=``) and adds later ones in place; only slots that no path reached are
-zeroed. The result is a list of slot views, each shaped like its tensor
-(``[*shape]``, or ``[k, *shape]`` with row groups), with the flat buffer as
-``.packed``, so a caller that wants one flat gradient vector (or the
-[k, total] row groups) takes it without a concatenation or a copy.
-
-Every sum over the batch axis for a leaf's gradient goes through BLAS: a
-matmul's right operand as ``left.T @ right``, a bias as the product of a
-cached ones vector with the ``[rows, w]`` incoming gradient. numpy's
-``sum(axis=0)`` over so narrow an array runs one short loop per row and is
-several times slower at large batches. The product re-associates the sum
-(BLAS order instead of numpy's), so a bias gradient can differ from
-``sum(axis=0)`` in the last bits. The row-block fold of a repeated
-``[r, d]`` side stays a numpy axis-0 sum: its kept axis is wide, where
-numpy is already fast.
-
-relu is ``np.fmax(x, 0.0)``, which gives the same bits as
-``np.where(x > 0, x, 0.0)`` at lower cost: fmax maps NaN to 0 and keeps
-infinities and subnormals, but may return -0.0 for a -0.0 (or 0.0) input.
-So only when the input holds an exact zero, which relu already checks to
-flag a kink, does an in-place ``+= 0.0`` follow: adding +0.0 turns -0.0
-into +0.0 and leaves every other value unchanged.
+Bit rules. Every sum over the batch axis for a leaf's gradient goes through
+BLAS: a matmul's right operand as ``left.T @ right``, a bias as a cached
+ones vector times the ``[rows, w]`` incoming gradient, so a bias gradient
+can differ from ``sum(axis=0)`` in the last bits; the row-block fold of a
+repeated side stays a numpy axis-0 sum. relu is ``np.fmax(x, 0.0)``, with
+the bits of ``np.where(x > 0, x, 0.0)``: only when the input holds an exact
+zero, which relu checks to flag a kink, an in-place ``+= 0.0`` turns a
+-0.0 into +0.0. squared_error sums in fixed blocks (``LOSS_BLOCK``).
 """
 
 from __future__ import annotations
@@ -116,13 +61,11 @@ class TapeError(RuntimeError):
 class Tape:
     """Ordered record of primitive applications for one forward pass.
 
-    Records ``(pull, tracked, parents)`` are appended in execution order, so
-    walking them in reverse visits the graph in reverse topological order,
+    Records ``(pull, tracked, parents)`` are appended in execution order,
     and a taped tensor's ``node`` is its record's index. A record refers to
-    its parents by record index, leaf tensor or None (a constant), never to
-    its own output, so an intermediate lives only as long as a pull or the
-    caller reads it. A tape is consumed by exactly one reverse pass; reuse
-    raises TapeError.
+    each parent by record index, ``requires_grad`` leaf or None (a
+    constant), never to its own output. A tape is consumed by exactly one
+    reverse pass; reuse raises TapeError.
     """
 
     __slots__ = ("_records", "consumed")
@@ -278,12 +221,9 @@ class _RowSum:
     no ``right``, the column sums of a 2-D ``left`` (a broadcast bias). The
     reverse pass reduces it whole, or per row group for a leaf when grouping,
     writing a leaf's first contribution straight into its slot (``out``).
-
-    Both forms go through BLAS; a bias sum is ``ones @ left``, which
-    re-associates the sum (see the module docstring). ``total()`` and
-    ``total(out)``, like ``split(k)`` and ``split(k, out)``, make the same
-    BLAS call, so a packed gradient and a separately computed one stay
-    bit-identical."""
+    ``total()`` and ``total(out)``, like ``split(k)`` and ``split(k, out)``,
+    make the same BLAS call, so a packed gradient and a separately computed
+    one stay bit-identical."""
 
     __slots__ = ("left", "right")
 
@@ -430,6 +370,12 @@ def relu(a: Tensor) -> Tensor:
     return _emit(out, (a,), pull)
 
 
+# squared_error sums its squares as one BLAS dot per block of at most this
+# many elements, the blocks added in order: OpenBLAS splits a longer dot
+# across its threads, so one dot over everything changes with the thread count
+LOSS_BLOCK = 8192
+
+
 def squared_error(pred: Tensor, target: Tensor) -> Tensor:
     """Mean of elementwise squared differences, producing a scalar."""
     if pred.shape != target.shape:
@@ -437,7 +383,9 @@ def squared_error(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.data - target.data
     flat = diff.reshape(-1)
     n = flat.size
-    out = np.dot(flat, flat) / n
+    out = (np.dot(flat, flat) if n <= LOSS_BLOCK else
+           sum(np.dot(flat[i:i + LOSS_BLOCK], flat[i:i + LOSS_BLOCK])
+               for i in range(0, n, LOSS_BLOCK))) / n
 
     def pull(g, tracked):
         scale = 2.0 * g / n

@@ -232,18 +232,12 @@ def brute_force_variance_oracle(per_sample, partition: ModulePartition, b: int, 
     construction.
 
     The resamples are drawn ``c`` at a time, by the same generator calls in
-    the same order as one at a time. Each resample mean is still formed
-    exactly, as row r of one product ``W @ per_sample`` whose row r is
-    ``bincount(pick_r, minlength=n) / b``. That costs R*n*d multiply-adds
-    through BLAS against R*b*d for gathering the picked rows, and still wins
-    at n/b = 16 (the oracle benchmark) because it streams the [n, d] matrix
-    instead of copying R*b scattered rows. The product is taken in column
-    blocks, so the scratch memory is one [c, n] weight buffer and one
-    [c, width] block of means, each at most 512 KiB (``c`` and ``width``
-    follow from n and d), and each block of ``per_sample`` is packed for BLAS
-    once per ``c`` resamples. The squared deviations are summed over
-    resamples per parameter, and each module's share is the sum over its
-    slice (``partition.slices``) of that one [d] vector.
+    the same order as one at a time. Each resample mean is formed exactly,
+    as row r of one product ``W @ per_sample`` whose row r is
+    ``bincount(pick_r, minlength=n) / b``, taken in column blocks so that
+    the [c, n] weights and the [c, width] means each stay within 512 KiB.
+    The squared deviations are summed over resamples per parameter, and each
+    module's share is the sum over its slice of that one [d] vector.
     """
     shape = np.shape(per_sample)
     if len(shape) != 2 or shape[1] != partition.total_size:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from agvm.harness import (ExperimentConfig, LrSchedule, ablation_suite,
-                          emit_csv, oracle_check, run_experiment)
+                          emit_csv, oracle_check, run_battery, run_experiment)
 from agvm.models import (ModelConfig, ModulePartition, SyntheticModel,
                          make_dataset)
 from agvm.optim import AgvmAdamW, AgvmSgd, Modulator, force_unit_mu
@@ -169,14 +169,14 @@ def test_06_misalignment_and_modulation_convergence():
         start = time.time()
         phi_wins = 0
         mu_wins = 0
+        configs = [ExperimentConfig(seed=seed, agvm_enabled=agvm, **MISALIGNMENT)
+                   for seed in range(20) for agvm in (False, True)]
+        results = run_battery(configs)
         for seed in range(20):
-            observe = ExperimentConfig(seed=seed, agvm_enabled=False, **MISALIGNMENT)
-            res = run_experiment(observe)
+            res, res2 = results[2 * seed], results[2 * seed + 1]
             assert res.summary["status"] == "ok", f"seed {seed} diverged"
             phi_wins += (res.summary["phi_avg_head"] < res.summary["phi_avg_trunk"])
 
-            modulated = ExperimentConfig(seed=seed, agvm_enabled=True, **MISALIGNMENT)
-            res2 = run_experiment(modulated)
             assert res2.summary["status"] == "ok", f"seed {seed} diverged (modulated)"
             mus = [row.mu for row in res2.trace if row.module == "head" and row.iter >= 1]
             half = len(mus) // 2

@@ -578,6 +578,11 @@ class TestDrawAhead:
         assert threads == []
 
 
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2, reason="needs fork and two usable CPUs")
+
+
 def record_replicas(monkeypatch) -> list:
     """Route the harness's replicas (``_Replica``) through a subclass that
     keeps the pid of every replica it forks in the returned list."""
@@ -616,9 +621,7 @@ def in_replica(parent: int, k: int, t: int) -> bool:
     return os.getpid() != parent and t == k
 
 
-@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-                    or len(os.sched_getaffinity(0)) < 2,
-                    reason="the replica needs fork and two usable CPUs")
+@needs_fork
 class TestReplica:
     """From REPLICA_MIN_BATCH on, a step is two half passes, group 2's in a
     forked replica; every output equals the in-process run's, and the
@@ -845,6 +848,204 @@ class TestReplica:
             pytest.fail(f"replica {replica} outlived its killed run by 30 s")
 
 
+def record_battery_children(monkeypatch) -> list:
+    """Route run_battery's children (``_BatteryChild``) through a subclass
+    that keeps the pid of every child it forks in the returned list."""
+    pids = []
+
+    class Recorded(harness._BatteryChild):
+        def __init__(self, *args):
+            super().__init__(*args)         # returns only in the caller
+            pids.append(self.pid)
+
+    monkeypatch.setattr(harness, "_BatteryChild", Recorded)
+    return pids
+
+
+def no_in_run_concurrency(monkeypatch):
+    """Make any worker that starts a draw-ahead thread or forks a replica
+    fail its run."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a battery worker started in-run concurrency")
+
+    monkeypatch.setattr(harness, "_InThread", refused)
+    monkeypatch.setattr(harness, "_Replica", refused)
+
+
+def in_child(parent: int, cfg, seed: int) -> bool:
+    """Whether this is a battery child running the config of ``seed``."""
+    return os.getpid() != parent and cfg.seed == seed
+
+
+# update-free traces of five seeds: with two workers, the run of seed 0
+# (costliest: 4 proposals) goes to the child, seeds 1-4 stay in the caller
+BATTERY = [ExperimentConfig(**{**FAST, "tau": 1, "seed": seed, "proposals": 4 if seed == 0 else 1,
+                               "proposal_noise_std": 0.5})
+           for seed in range(5)]
+
+
+@needs_fork
+class TestBattery:
+    """run_battery runs independent runs in the caller and forked children,
+    one core each; every output equals the in-process loop's, errors come
+    back as raised, and no child outlives it."""
+
+    @staticmethod
+    def outputs(results, tmp_path) -> list:
+        out = []
+        for res in results:
+            emit_csv(res.trace, str(tmp_path / "trace.csv"))
+            out.append(((tmp_path / "trace.csv").read_bytes(), summary_text(res.summary)))
+        return out
+
+    @settings(max_examples=12, deadline=None)
+    @given(train=st.booleans(), seeds=st.lists(st.integers(0, 2 ** 31), min_size=1, max_size=3),
+           mask=st.sampled_from([0.0, 0.5]), tau=st.integers(1, 3), total=st.integers(0, 6),
+           base_lr=st.sampled_from([0.04, 1e9]))
+    def test_the_fan_out_changes_no_output(self, tmp_path_factory, train, seeds, mask, tau,
+                                           total, base_lr):
+        small = dict(FAST, warmup_iters=0, mask_fraction=mask, tau=tau, total_iterations=total,
+                     base_lr=base_lr)
+        configs = [ExperimentConfig(**small, seed=seed) for seed in seeds]
+        configs += [
+            # two half passes per step, one of them in a replica out of a battery
+            ExperimentConfig(**{**small, "batch_size": harness.REPLICA_MIN_BATCH,
+                                "n_samples": harness.REPLICA_MIN_BATCH, "seed": seeds[0]}),
+            # 2 levels x 8 proposals x 256 rows x 16 head inputs: drawn ahead out of a battery
+            ExperimentConfig(**{**small, "batch_size": 256, "n_samples": 256, "head_width": 16,
+                                "proposals": 8, "proposal_noise_std": 0.5, "seed": seeds[-1]}),
+        ]
+        assert harness._Runner(configs[-1]).draws_ahead()
+        tmp_path = tmp_path_factory.mktemp("battery")
+        with pytest.MonkeyPatch.context() as mp:
+            pids = record_battery_children(mp)
+            no_in_run_concurrency(mp)
+            forked = self.outputs(harness.run_battery(configs, train), tmp_path)
+        assert len(pids) == min(len(configs), len(os.sched_getaffinity(0))) - 1
+        assert all(map(reaped, pids))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_usable_cpus", lambda: 1)
+            alone = self.outputs(harness.run_battery(configs, train), tmp_path)
+        assert forked == alone
+
+    def test_the_costliest_run_goes_to_a_child(self):
+        base = ExperimentConfig(**_load("workloads").ABLATION_BASE)
+        arms = [replace(base, ablation=arm) for arm in
+                ("shared", "independent_heads", "no_pyramid", "mask_75", "proposals_8")]
+        assert harness._plan(arms, False, 2) == [[0, 1, 2, 3], [4]]
+        assert harness._plan(arms, False, 1) == [[0, 1, 2, 3, 4]]
+        # equal costs: children first, then the least-loaded worker
+        assert harness._plan(BATTERY[1:], True, 3) == [[2], [0, 3], [1]]
+
+    def test_the_budget_and_blas_threads_are_restored(self, monkeypatch):
+        threads = harness._blas_threads(1)
+        harness._blas_threads(threads)
+        seen = []
+
+        def probe(cfg):
+            seen.append((harness._core_budget, harness._blas_threads(1)))
+            return variance_trace(cfg)
+
+        monkeypatch.setattr(harness, "variance_trace", probe)
+        harness.run_battery(BATTERY[:2], train=False)
+        assert seen == [(1, [1] * len(threads))]        # the caller's share
+        assert harness._core_budget is None
+        assert harness._blas_threads(threads) == threads
+
+    def test_a_config_error_in_a_child_is_raised_as_one(self, monkeypatch):
+        pids = record_battery_children(monkeypatch)
+        parent = os.getpid()
+
+        def failing(cfg):
+            if in_child(parent, cfg, 0):
+                raise ConfigError("no such arm in the child")
+            return variance_trace(cfg)
+
+        monkeypatch.setattr(harness, "variance_trace", failing)
+        with pytest.raises(ConfigError, match="^no such arm in the child$"):
+            harness.run_battery(BATTERY, train=False)
+        assert len(pids) == 1 and reaped(pids[0])
+
+    def test_an_invalid_config_fails_before_any_run(self, monkeypatch):
+        pids = record_battery_children(monkeypatch)
+        with pytest.raises(ConfigError, match="batch_size must be even"):
+            harness.run_battery(BATTERY + [replace(BATTERY[0], batch_size=3)])
+        assert pids == []
+
+    def test_a_killed_child_names_its_run(self, monkeypatch):
+        pids = record_battery_children(monkeypatch)
+        parent = os.getpid()
+
+        def killed(cfg):
+            if in_child(parent, cfg, 0):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return variance_trace(cfg)
+
+        monkeypatch.setattr(harness, "variance_trace", killed)
+        with pytest.raises(harness.BatteryError, match=re.escape(
+                "run 0 of the battery (seed 0, ablation none) was lost: its worker process "
+                f"exited with code {-signal.SIGKILL}")):
+            harness.run_battery(BATTERY, train=False)
+        assert len(pids) == 1 and reaped(pids[0])
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, OptimizerError])
+    def test_the_callers_exit_kills_its_children(self, monkeypatch, error):
+        pids = record_battery_children(monkeypatch)
+        parent = os.getpid()
+
+        def stuck_or_failing(cfg):
+            if in_child(parent, cfg, 0):
+                time.sleep(60)
+            if os.getpid() == parent:
+                raise error("stop")
+            return variance_trace(cfg)
+
+        monkeypatch.setattr(harness, "variance_trace", stuck_or_failing)
+        start = time.monotonic()
+        with pytest.raises(error):
+            harness.run_battery(BATTERY, train=False)
+        assert time.monotonic() - start < 30
+        assert len(pids) == 1 and reaped(pids[0])
+
+    def test_a_child_ignores_an_interrupt_and_leaves_the_callers_cpu(self, monkeypatch):
+        monkeypatch.setattr(harness, "_current_cpu", lambda: min(os.sched_getaffinity(0)))
+        parent = os.getpid()
+
+        def interrupted(cfg):
+            res = variance_trace(cfg)
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGINT)
+                res.summary["cpus"] = sorted(os.sched_getaffinity(0))
+            return res
+
+        want = [variance_trace(cfg).summary for cfg in BATTERY]
+        monkeypatch.setattr(harness, "variance_trace", interrupted)
+        got = [res.summary for res in harness.run_battery(BATTERY, train=False)]
+        allowed = os.sched_getaffinity(0)
+        assert got[0].pop("cpus") == sorted(allowed - {min(allowed)})
+        assert got == want
+        assert os.sched_getaffinity(0) == allowed
+
+    def test_a_process_with_another_thread_runs_in_order_in_process(self, monkeypatch):
+        pids = record_battery_children(monkeypatch)
+        order = []
+
+        def counted(cfg):
+            order.append(cfg.seed)
+            return variance_trace(cfg)
+
+        monkeypatch.setattr(harness, "variance_trace", counted)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            harness.run_battery(BATTERY, train=False)
+        finally:
+            release.set()
+            other.join(10)
+        assert pids == [] and order == [0, 1, 2, 3, 4]
+
+
 class TestCsv:
     def rows(self):
         return [TraceRow(0, "trunk", 0.1 + 1e-17, 1.0, 0.32, 1.5, 2.0),
@@ -903,7 +1104,9 @@ class TestAblationSuite:
 
     @pytest.mark.parametrize("std,runs", [(2.0, 5), (0.0, 6)])
     def test_equal_arms_run_once(self, monkeypatch, std, runs):
-        # on a jittered base proposals_1 resolves to the shared arm's model
+        # on a jittered base proposals_1 resolves to the shared arm's model;
+        # one usable CPU keeps every run in this process, where calls lands
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         calls = []
 
         def counted(cfg):
@@ -914,6 +1117,26 @@ class TestAblationSuite:
         results = ablation_suite(ExperimentConfig(**FAST, proposal_noise_std=std))
         assert len(calls) == runs
         assert len(results) == 6
+        assert len({id(summary) for summary in results.values()}) == 6
+        if runs == 5:
+            assert results["proposals_1"] == results["shared"]
+
+    @needs_fork
+    @pytest.mark.parametrize("std,runs", [(2.0, 5), (0.0, 6)])
+    def test_equal_arms_run_once_across_workers(self, monkeypatch, std, runs):
+        # each worker stamps the runs it does into their summaries
+        counter = iter(range(100))
+
+        def stamped(cfg):
+            res = variance_trace(cfg)
+            res.summary["ran"] = (os.getpid(), next(counter))
+            return res
+
+        monkeypatch.setattr(harness, "variance_trace", stamped)
+        results = ablation_suite(ExperimentConfig(**FAST, proposal_noise_std=std))
+        ran = {summary["ran"] for summary in results.values()}
+        assert len(ran) == runs
+        assert len({pid for pid, _ in ran}) == 2
         assert len({id(summary) for summary in results.values()}) == 6
         if runs == 5:
             assert results["proposals_1"] == results["shared"]

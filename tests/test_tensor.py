@@ -15,8 +15,8 @@ from hypothesis.extra import numpy as hnp
 
 import agvm.models
 from agvm.models import ModelConfig, SyntheticModel, TwoBlockLinearModel, make_dataset
-from agvm.tensor import (ShapeError, TapeError, Tensor, _keep_freed_memory, _RowSum,
-                         add, grad_check, gradients, load_params, masked_select, matmul,
+from agvm.tensor import (LOSS_BLOCK, ShapeError, TapeError, Tensor, _keep_freed_memory,
+                         _RowSum, add, grad_check, gradients, load_params, masked_select, matmul,
                          multiply, new_graph, no_grad, pack_params, relu,
                          relu_kink_seen, reset_relu_kink, squared_error)
 
@@ -50,6 +50,19 @@ class TestForwardOps:
 
     def test_squared_error_identity(self):
         assert squared_error(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).data == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 3 * LOSS_BLOCK + 5), seed=st.integers(0, 2 ** 31))
+    def test_squared_error_sums_fixed_blocks_in_order(self, n, seed):
+        diff = np.random.default_rng(seed).normal(0, 1, n)
+        got = squared_error(Tensor(diff), Tensor(np.zeros(n))).data
+        blocks = [diff[i:i + LOSS_BLOCK] for i in range(0, n, LOSS_BLOCK)]
+        want = blocks[0].dot(blocks[0])
+        for block in blocks[1:]:
+            want += block.dot(block)
+        assert got == want / n
+        if n <= LOSS_BLOCK:         # one block: one dot over everything
+            assert got == np.dot(diff, diff) / n
 
     def test_add_broadcasts_bias_over_batch(self):
         out = add(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([10.0, 20.0]))
