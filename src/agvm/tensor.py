@@ -16,8 +16,10 @@ with ``new_graph()``, which drops a tape whose loss never reached a reverse
 pass. Threads may share leaf tensors as long as they only read them.
 
 A record (``Tape``) holds no tensor but a ``requires_grad`` leaf, and a
-pull captures only the arrays its gradients read, so a forward intermediate
-lives only as long as a pull or the caller reads it. A pull computes
+pull captures only the arrays its gradients read (a matmul or multiply an
+operand only when the other one is tracked, a relu its output, a
+squared_error the difference, a masked_select the mask and a shape), so a
+forward intermediate lives only as long as a pull or the caller reads it. A pull computes
 gradients only for the inputs that were tracked. The reverse pass (``_walk``)
 pops each record as it walks it, freeing what its pull captured by
 reference counting.
