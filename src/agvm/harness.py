@@ -14,32 +14,28 @@ replica process (``half_loss_and_grad``, ``_Replica``).
 
 Concurrency contract; every output stays a function of the config alone:
 
-- In-run: a large step's proposal noise (``DRAW_AHEAD_MIN_ELEMENTS``) is
-  drawn one step ahead, and ``oracle_check`` runs the brute-force oracle
-  beside the estimate, each on a thread started for that call
-  (``_InThread``); a large-batch run forks a replica when it starts. Each
-  reads only what nothing writes meanwhile and draws from a generator of
-  its own, so its bits equal the inline computation's. A worker's failure
-  is raised from its caller, and none outlives the run or the check.
-- Across runs: ``run_battery`` runs independent runs on ``min(len(configs),
-  usable CPUs)`` workers, the caller and forked children, assigned by a
-  rule on the configs alone (``_plan``), and returns the results in config
-  order. A child's exception is re-raised by the caller, which kills and
-  reaps its children on every exit. ``ablation_suite`` runs its arms so.
+- In-run: ``oracle_check`` runs the brute-force oracle beside the estimate
+  on a thread started for that check (``_InThread``), and a large-batch run
+  forks one replica, keeping its own OpenBLAS on one thread while the
+  replica lives. Each reads only what nothing writes meanwhile and draws
+  from a generator of its own, so its bits equal the inline computation's.
+  A failure is raised from the caller; nothing outlives the run or check.
+- Across runs: ``run_battery`` runs independent runs side by side on the
+  caller and forked children, assigned by a rule on the configs alone
+  (``_plan``); ``ablation_suite`` runs its arms so.
 - Core budget: while a battery runs, each worker, the caller too, has one
-  core (``_core_budget``): no draw-ahead thread, no replica, and OpenBLAS on
-  one thread, as in a replica. No BLAS call's bits depend on its thread
-  count (squared_error sums in fixed blocks), so every path gives the same
-  bytes.
+  core (``_core_budget``): no replica, and OpenBLAS on one thread. Long dots
+  sum in fixed blocks (``tensor.blocked_dot``), so no BLAS call's bits
+  depend on its thread count, and every path gives the same bytes.
 - A process forks (``_fork``) only where ``os.fork`` exists, a second CPU
   is usable and no other thread is alive (``_can_fork``): a fork copies one
-  thread, and a lock another holds stays held. Otherwise the work runs
-  in-process, a battery's runs in order. A forked child ignores SIGINT, and
-  it and every worker thread leave their creator's CPU (``_leave_cpu``): on
-  a 2-core VM whose cpusets turn load balancing off, they often stayed.
+  thread, and a lock another holds stays held; otherwise the work runs
+  in-process. A forked child ignores SIGINT, and it and every worker thread
+  leave their creator's CPU (``_leave_cpu``): on a 2-core VM whose cpusets
+  turn load balancing off, they often stayed.
 
-Measurements behind each choice: BENCH_draw_ahead.json, BENCH_replica.json,
-BENCH_oracle_overlap.json and BENCH_battery_fanout.json.
+Measurements behind each choice: BENCH_replica.json, BENCH_oracle_overlap.json,
+BENCH_battery_fanout.json and BENCH_in_run_mechanisms.json.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ import numpy as np
 from .models import (ConfigError, ModelConfig, SyntheticModel,
                      TwoBlockLinearModel, make_dataset)
 from .optim import AgvmAdamW, AgvmSgd, DivergenceError, Modulator, force_unit_mu
-from .tensor import gradients, load_params, pack_params
+from .tensor import blocked_dot, gradients, load_params, pack_params
 from .variance import (GroupedGradients, brute_force_variance_oracle,
                        full_variance_estimate, per_sample_gradients,
                        phi_estimate, split_groups)
@@ -402,19 +398,13 @@ class RunResult:
     summary: dict
 
 
-# A step's noise is drawn one step ahead only when its array holds at least
-# this many elements: numpy fills it without holding the GIL, but a thread
-# costs about 0.3 ms of CPU to start and join (BENCH_draw_ahead.json).
-DRAW_AHEAD_MIN_ELEMENTS = 1 << 16
-
 # From this batch size on, every step is two half-batch passes, group 2's in a
 # replica process: the replica's per-step cost is about fixed, and the work it
 # takes off the run's process grows with the batch (BENCH_replica.json "gate").
 REPLICA_MIN_BATCH = 1024
 
-# A side that waits for the other polls its pipe for up to this long before
-# it sleeps: a vCPU that went idle between steps was slow to wake (CHANGES.md,
-# two-replica entry; BENCH_replica.json "processes").
+# A side that waits for the other polls its pipe for up to this long before it
+# sleeps: an idle vCPU was slow to wake (BENCH_replica.json "processes").
 REPLICA_POLL_S = 2e-3
 
 
@@ -489,8 +479,7 @@ class _Replica:
     """
 
     def __init__(self, runner: "_Runner"):
-        # imported only where a replica needs it: mmap, select, signal and
-        # traceback at module level added about 3 ms to every import of agvm
+        # imported here, where a replica needs it, to keep agvm's import fast
         import mmap
 
         n, b = runner.w.size, runner.config.batch_size
@@ -601,7 +590,7 @@ def _can_fork() -> bool:
 
 
 # The cores each run may use: None, or 1 while run_battery's workers run, so
-# that no run starts a draw-ahead thread or forks a replica
+# that no run forks a replica
 _core_budget: Optional[int] = None
 
 
@@ -713,12 +702,12 @@ class _Runner:
         loss = self.forward(idx, t, drawn)
         return float(loss.data), gradients(loss, self.model.params).packed
 
-    def grouped_loss_and_grad(self, idx: np.ndarray, t: int, drawn: Optional[tuple] = None):
+    def grouped_loss_and_grad(self, idx: np.ndarray, t: int):
         """One whole-batch backward split by odd/even rows; (loss, flat grad,
         GroupedGradients). Every sample keeps equally many loss elements, so
         twice the odd (even) rows' share of the gradient is the mean of that
         half's per-sample gradients."""
-        loss = self.forward(idx, t, drawn)
+        loss = self.forward(idx, t)
         halves = gradients(loss, self.model.params, row_groups=2).packed
         halves *= 2.0
         g1, g2 = halves
@@ -747,17 +736,8 @@ class _Runner:
             g = groups.g[name]
             rows.append(TraceRow(iter=t, module=name, phi=float(est.phi[i]),
                                  mu=float(mu[i]), eff_lr=eta * float(mu[i]),
-                                 loss=loss, grad_norm_sq=float(np.dot(g, g))))
+                                 loss=loss, grad_norm_sq=float(blocked_dot(g, g))))
         return rows
-
-    def draws_ahead(self) -> bool:
-        """Whether run() draws each step's noise one step ahead on a worker
-        thread: the model draws randomness, and its noise array holds at
-        least DRAW_AHEAD_MIN_ELEMENTS elements."""
-        c = self.model.config
-        elements = (c.levels * c.proposals * self.config.batch_size * c.head_in
-                    if c.proposal_noise_std > 0.0 else 0)
-        return self.model.draws_noise() and elements >= DRAW_AHEAD_MIN_ELEMENTS
 
     def run(self, train: bool) -> RunResult:
         """The batch-and-trace loop: steps 0..T with updates, or without
@@ -765,26 +745,20 @@ class _Runner:
         a step t >= 1 halts the run before that step's rows."""
         cfg = self.config
         stride = 1 if train else self.tau
-        spare_core = _core_budget is None or _core_budget > 1
-        ahead = spare_core and self.draws_ahead()
         halves = cfg.batch_size >= REPLICA_MIN_BATCH
         trace = []
         diverged_at, reason = -1, None
-        pending = None      # the worker drawing this step's noise, if any
-        # forked before this run starts a thread
+        spare_core = _core_budget is None or _core_budget > 1
         replica = _Replica(self) if halves and spare_core and _can_fork() else None
+        # the run's own OpenBLAS threads would contend with the replica's core
+        threads = _blas_threads(1) if replica is not None else None
         try:
             for t in range(0, cfg.total_iterations + 1, stride):
-                drawn = None if pending is None else pending.result()
-                pending = (_InThread(self.model.draw_noise, _mask_seed(cfg.seed, t + stride),
-                                     cfg.batch_size)
-                           if ahead and t + stride <= cfg.total_iterations else None)
                 idx = self.draw_batch()
                 eta = lr_at(self.schedule, max(0, t - 1), cfg.batch_size)
                 groups = None
                 if halves:
-                    if drawn is None:
-                        drawn = self.draw(t, cfg.batch_size)
+                    drawn = self.draw(t, cfg.batch_size)
                     if replica is not None:
                         replica.start(t, idx, self.w)
                     l1, g1 = self.half_loss_and_grad(idx, t, 0, drawn)
@@ -795,9 +769,9 @@ class _Runner:
                         groups = GroupedGradients.from_half_means(g1, g2, grad, self.partition,
                                                                   cfg.batch_size)
                 elif t % self.tau == 0:
-                    loss, grad, groups = self.grouped_loss_and_grad(idx, t, drawn)
+                    loss, grad, groups = self.grouped_loss_and_grad(idx, t)
                 else:
-                    loss, grad = self.batch_loss_and_grad(idx, t, drawn)
+                    loss, grad = self.batch_loss_and_grad(idx, t)
                 if t >= 1 and not math.isfinite(loss):
                     diverged_at, reason = t, f"non-finite loss {loss} at step {t}"
                     break
@@ -812,10 +786,8 @@ class _Runner:
                 if groups is not None:
                     trace.extend(self.trace_rows(t, loss, groups, self.opt.modulator.mu, eta))
         finally:
-            # a draw for a step the run never reaches is dropped, error and all
-            if pending is not None:
-                pending.join()
             if replica is not None:
+                _blas_threads(threads)
                 replica.close()
 
         summary = summarize(trace, self.partition.names, self.partition.anchor_name)
@@ -934,8 +906,9 @@ def run_battery(configs, train: bool = True) -> list:
     ``train``), in config order, the runs side by side on the calling
     process and forked children, one core each (the module docstring's
     concurrency contract). Every config is validated before any run starts.
-    With one usable CPU, without ``os.fork`` or while another thread is
-    alive, the runs go in order in the calling process."""
+    A child's exception is raised here, and the children are killed and
+    reaped on every exit. With one usable CPU, without ``os.fork`` or while
+    another thread is alive, the runs go in order in the calling process."""
     global _core_budget
     configs = list(configs)
     for config in configs:
@@ -1093,13 +1066,8 @@ def oracle_check(seed: int = 0, n: Optional[int] = None, b: Optional[int] = None
     joined on every exit: its exception is raised from here, and one raised
     by the estimate propagates after the join.
     """
-    p = dict(BENCHMARK)
-    if n is not None:
-        p["n"] = n
-    if b is not None:
-        p["b"] = b
-    if resamples is not None:
-        p["resamples"] = resamples
+    given = dict(n=n, b=b, resamples=resamples)
+    p = dict(BENCHMARK, **{key: value for key, value in given.items() if value is not None})
     bad = []
     if seed < 0:
         bad.append(f"seed must be >= 0, got {seed}")

@@ -27,9 +27,10 @@ reference counting.
 At import this module raises glibc's mmap threshold to 32 MiB and its trim
 threshold to 256 MiB and caps glibc at one malloc arena (``mallopt``), so
 what a reverse pass frees stays on the one heap for the next step, also for
-arrays allocated on a worker thread. It does nothing where the C library
-has no ``mallopt`` or the environment sets ``GLIBC_TUNABLES`` or one of
-``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` and ``MALLOC_TOP_PAD_``.
+arrays that ``oracle_check``'s worker thread allocates. It does nothing
+where the C library has no ``mallopt`` or the environment sets
+``GLIBC_TUNABLES`` or one of ``MALLOC_MMAP_THRESHOLD_``,
+``MALLOC_TRIM_THRESHOLD_`` and ``MALLOC_TOP_PAD_``.
 
 Bit rules. Every sum over the batch axis for a leaf's gradient goes through
 BLAS: a matmul's right operand as ``left.T @ right``, a bias as a cached
@@ -38,7 +39,8 @@ can differ from ``sum(axis=0)`` in the last bits; the row-block fold of a
 repeated side stays a numpy axis-0 sum. relu is ``np.fmax(x, 0.0)``, with
 the bits of ``np.where(x > 0, x, 0.0)``: only when the input holds an exact
 zero, which relu checks to flag a kink, an in-place ``+= 0.0`` turns a
--0.0 into +0.0. squared_error sums in fixed blocks (``LOSS_BLOCK``).
+-0.0 into +0.0. Every dot over a loss or a module's gradient sums in fixed
+blocks (``blocked_dot``).
 """
 
 from __future__ import annotations
@@ -372,10 +374,18 @@ def relu(a: Tensor) -> Tensor:
     return _emit(out, (a,), pull)
 
 
-# squared_error sums its squares as one BLAS dot per block of at most this
-# many elements, the blocks added in order: OpenBLAS splits a longer dot
-# across its threads, so one dot over everything changes with the thread count
-LOSS_BLOCK = 8192
+# A long dot is one BLAS dot per block of at most this many elements, the
+# blocks added in order: OpenBLAS splits a longer dot across its threads, so
+# one dot over everything changes with the thread count
+DOT_BLOCK = 8192
+
+
+def blocked_dot(a: np.ndarray, b: np.ndarray):
+    """``a.dot(b)`` of two flat vectors of one length, summed over blocks of
+    DOT_BLOCK elements in order; up to DOT_BLOCK elements, that one dot."""
+    if a.size <= DOT_BLOCK:
+        return a.dot(b)
+    return sum(a[i:i + DOT_BLOCK].dot(b[i:i + DOT_BLOCK]) for i in range(0, a.size, DOT_BLOCK))
 
 
 def squared_error(pred: Tensor, target: Tensor) -> Tensor:
@@ -385,9 +395,7 @@ def squared_error(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.data - target.data
     flat = diff.reshape(-1)
     n = flat.size
-    out = (np.dot(flat, flat) if n <= LOSS_BLOCK else
-           sum(np.dot(flat[i:i + LOSS_BLOCK], flat[i:i + LOSS_BLOCK])
-               for i in range(0, n, LOSS_BLOCK))) / n
+    out = blocked_dot(flat, flat) / n
 
     def pull(g, tracked):
         scale = 2.0 * g / n

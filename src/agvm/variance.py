@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModulePartition
-from .tensor import ShapeError, gradients
+from .tensor import ShapeError, blocked_dot, gradients
 
 
 # Below this squared norm no entry exceeds 1e150 in magnitude, so
@@ -135,11 +135,11 @@ def _batch_rows(rows, m: int) -> list:
 
 
 def _squared_norm(x: np.ndarray):
-    """The x.dot(x) that np.linalg.norm takes the square root of for a flat
-    float vector, on the same (raveled) array, so sqrt of it is bit-identical
-    to np.linalg.norm(x)."""
+    """``blocked_dot(x, x)`` of the raveled x: up to DOT_BLOCK elements the
+    x.dot(x) that np.linalg.norm takes the square root of, so sqrt of it is
+    bit-identical to np.linalg.norm(x)."""
     x = x.ravel(order="K")
-    return x.dot(x)
+    return blocked_dot(x, x)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray, eps_norm: float = 1e-12) -> float:
@@ -168,7 +168,7 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray, eps_norm: float = 1e-12) -> 
     if na < eps_norm or nb < eps_norm or not (math.isfinite(na) and math.isfinite(nb)):
         return 0.0
     # c is finite: finite squared norms mean finite entries, and |dot| <= na * nb
-    c = float(np.dot(a, b)) / (na * nb)
+    c = float(blocked_dot(a, b)) / (na * nb)
     return min(1.0, max(-1.0, c))
 
 
@@ -192,7 +192,7 @@ def full_variance_estimate(groups: GroupedGradients, n: int, eta: float) -> np.n
         raise ValueError(f"dataset size n={n} must be >= batch size b={groups.b}")
     factor = (n - groups.b) / (2.0 * n - groups.b)
     est = phi_estimate(groups, eta)
-    norms = np.array([np.dot(groups.g[m], groups.g[m]) for m in groups.names])
+    norms = np.array([blocked_dot(groups.g[m], groups.g[m]) for m in groups.names])
     dims = np.array([max(1, groups.g[m].size) for m in groups.names], dtype=np.float64)
     return factor * est.phi * norms / dims
 

@@ -201,22 +201,29 @@ class TestOtherCommands:
 
 class TestEntryPoint:
     def test_a_run_gives_the_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
-        # each level's loss has 128 rows x 8 proposals x 16 outputs = 16,384
-        # elements; OpenBLAS splits a dot over more than 10,000 of them
-        # across its threads
-        args = ["variance-trace", "--levels=2", "--batch_size=128", "--n_samples=512",
-                "--total_iterations=40", "--tau=1", "--input_dim=8", "--trunk_widths=8",
-                "--head_width=8", "--output_dim=16", "--proposals=8",
-                "--proposal_noise_std=0.5", "--warmup_iters=0", "--seed=3"]
-        outputs = []
-        for threads in ("1", "2"):
-            path = tmp_path / f"threads{threads}.csv"
-            env = dict(child_env(), OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-m", "agvm"] + args + [f"--out={path}"],
-                                  capture_output=True, text=True, env=env, cwd=str(tmp_path))
-            assert proc.returncode == 0, proc.stderr
-            outputs.append((path.read_bytes(), proc.stdout))
-        assert outputs[0] == outputs[1]
+        # OpenBLAS splits a dot over more than 10,000 elements across its threads
+        runs = [
+            # each level's loss has 128 rows x 8 proposals x 16 outputs = 16,384 elements
+            ["variance-trace", "--levels=2", "--batch_size=128", "--n_samples=512",
+             "--total_iterations=40", "--tau=1", "--input_dim=8", "--trunk_widths=8",
+             "--head_width=8", "--output_dim=16", "--proposals=8",
+             "--proposal_noise_std=0.5", "--warmup_iters=0", "--seed=3"],
+            # the trunk module holds 64 x 160 + 160 = 10,400 parameters
+            ["train", "--input_dim=64", "--trunk_widths=160", "--levels=4", "--head_width=16",
+             "--output_dim=4", "--batch_size=64", "--n_samples=256", "--total_iterations=40",
+             "--tau=1", "--warmup_iters=0", "--seed=3"],
+        ]
+        for args in runs:
+            outputs = []
+            for threads in ("1", "2"):
+                path = tmp_path / f"threads{threads}.csv"
+                env = dict(child_env(), OPENBLAS_NUM_THREADS=threads)
+                proc = subprocess.run([sys.executable, "-m", "agvm"] + args + [f"--out={path}"],
+                                      capture_output=True, text=True, env=env,
+                                      cwd=str(tmp_path))
+                assert proc.returncode == 0, proc.stderr
+                outputs.append((path.read_bytes(), proc.stdout))
+            assert outputs[0] == outputs[1], args[0]
 
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

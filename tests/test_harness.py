@@ -455,126 +455,41 @@ class TestInThread:
         assert harness._InThread(divmod, 7, 2).result() == (3, 1)
 
 
-class TestDrawAhead:
-    """run() draws a large step's noise one step ahead on a worker thread;
-    every output equals the inline draw's, and no thread outlives run()."""
+class TestInlineDraw:
+    """Every step draws its masks and noise inline, through _Runner.draw: no
+    run starts a worker thread, and a failing draw is raised from run()."""
 
-    @staticmethod
-    def outputs(cfg, train: bool, gate: int) -> tuple:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", gate)
-            threads = record_in_threads(mp)
-            res = harness._Runner(cfg).run(train)
-        # repr keeps every bit of a float and reads NaN equal to NaN
-        return (repr(res.trace), summary_text(res.summary), repr(res.final_loss)), threads
-
-    @settings(max_examples=40, deadline=None)
-    @given(optimizer=st.sampled_from(["sgd", "adamw"]), train=st.booleans(),
-           proposals=st.integers(1, 8), std=st.sampled_from([0.0, 0.5]),
-           mask=st.sampled_from([0.0, 0.5, 0.75]), tau=st.integers(1, 4),
-           total=st.integers(0, 9), base_lr=st.sampled_from([0.04, 1e9]),
-           seed=st.integers(0, 2 ** 31))
-    def test_drawing_ahead_changes_no_output(self, optimizer, train, proposals, std, mask,
-                                             tau, total, base_lr, seed):
-        cfg = ExperimentConfig(**{**FAST, "warmup_iters": 0, "optimizer": optimizer,
-                                  "proposals": proposals, "proposal_noise_std": std,
-                                  "mask_fraction": mask, "tau": tau, "total_iterations": total,
-                                  "base_lr": base_lr, "seed": seed})
-        ahead, threads = self.outputs(cfg, train, 0)
-        inline, none = self.outputs(cfg, train, 1 << 62)
-        assert ahead == inline
-        assert none == []
-        steps = len(range(0, total + 1, 1 if train else tau))
-        if mask or std:
-            # one thread per step after the first, unless the run halted early
-            assert 1 <= len(threads) <= steps - 1 or steps == 1 and threads == []
-        else:
-            assert threads == []
-
-    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
-    def test_a_run_that_diverges_midway_is_unchanged(self, optimizer):
-        cfg = ExperimentConfig(**{**FAST, "warmup_iters": 0, "optimizer": optimizer,
-                                  "proposals": 4, "proposal_noise_std": 0.5,
-                                  "base_lr": 1e9})
-        ahead, threads = self.outputs(cfg, True, 0)
-        assert ahead == self.outputs(cfg, True, 1 << 62)[0]
-        assert "status=NaN" in ahead[1]
-        diverged_at = int(re.search(r"diverged_at=(\d+)", ahead[1]).group(1))
-        assert 1 < diverged_at < cfg.total_iterations
-        assert len(threads) == diverged_at + 1
-
-    @pytest.mark.parametrize("gate", [0, 1 << 62])
     @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_a_failing_draw_is_raised_from_run(self, monkeypatch, gate, k):
-        monkeypatch.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", gate)
-        threads = record_in_threads(monkeypatch)
+    def test_a_failing_draw_is_raised_from_run(self, monkeypatch, k):
         runner = harness._Runner(ExperimentConfig(**FAST, proposals=2, proposal_noise_std=0.5))
         seed_of = functools.partial(harness._mask_seed, runner.config.seed)
-        real, calls, finished = runner.model.draw_noise, [], []
+        real, calls = runner.model.draw_noise, []
         err = MemoryError("no room for the noise")
 
         def failing(seed, batch):
             calls.append(seed)
             if seed == seed_of(k):
                 raise err
-            if seed == seed_of(k + 1):
-                time.sleep(0.2)         # still drawing when step k fails
-                finished.append(seed)
             return real(seed, batch)
 
         monkeypatch.setattr(runner.model, "draw_noise", failing)
         with pytest.raises(MemoryError) as raised:
             runner.run(train=True)
         assert raised.value is err
-        assert calls.count(seed_of(k)) == 1
-        # step 0 draws inline, after starting the thread that draws step 1,
-        # which run() joins before raising
-        ahead = gate == 0
-        assert len(threads) == (max(k, 1) if ahead else 0)
-        assert finished == ([seed_of(1)] if ahead and k == 0 else [])
-        assert not any(th.is_alive() for th in threads)
-
-    def test_a_diverging_run_joins_its_last_draw(self, monkeypatch):
-        monkeypatch.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", 0)
-        threads = record_in_threads(monkeypatch)
-        runner = harness._Runner(ExperimentConfig(**{**FAST, "warmup_iters": 0, "proposals": 4,
-                                                     "proposal_noise_std": 0.5, "base_lr": 1e9}))
-        real, finished = runner.model.draw_noise, []
-
-        def slow(seed, batch):
-            time.sleep(0.05)
-            finished.append(seed)
-            return real(seed, batch)
-
-        monkeypatch.setattr(runner.model, "draw_noise", slow)
-        summary = runner.run(train=True).summary
-        assert summary["status"] == "NaN"
-        # step 0 inline, then steps 1 .. diverged_at + 1 ahead; the last is
-        # dropped, but joined
-        assert len(threads) == summary["diverged_at"] + 1
-        assert len(finished) == len(threads) + 1
-        assert not any(th.is_alive() for th in threads)
-
-    def test_the_gate_counts_the_noise_elements(self):
-        # levels x proposals x batch x head input = 4 x 4 x 256 x 16 = 2**16
-        at = ExperimentConfig(proposals=4, proposal_noise_std=0.25)
-        assert harness.DRAW_AHEAD_MIN_ELEMENTS == 2 ** 16
-        assert harness._Runner(at).draws_ahead()
-        assert not harness._Runner(replace(at, batch_size=254)).draws_ahead()
-        assert not harness._Runner(replace(at, proposal_noise_std=0.0)).draws_ahead()
-        assert not harness._Runner(replace(at, proposal_noise_std=0.0,
-                                           mask_fraction=0.5)).draws_ahead()
+        # steps 0 .. k, each drawn once, in order
+        assert calls == [seed_of(t) for t in range(k + 1)]
 
     @pytest.mark.parametrize("arm", [
-        pytest.param(dict(proposals=3, proposal_noise_std=0.25), id="below-the-gate"),
-        pytest.param({}, id="no-noise"),
+        # levels x proposals x batch x head input = 4 x 4 x 256 x 16 = 2**16
+        pytest.param(dict(proposals=4, proposal_noise_std=0.25, total_iterations=20,
+                          warmup_iters=0, tau=5), id="large-noise"),
+        pytest.param(dict(FAST, proposals=3, proposal_noise_std=0.25), id="small-noise"),
+        pytest.param(FAST, id="no-noise"),
     ])
-    def test_small_or_absent_noise_starts_no_thread(self, monkeypatch, arm):
+    def test_no_run_starts_a_thread(self, monkeypatch, arm):
         threads = record_in_threads(monkeypatch)
-        if not arm:
-            monkeypatch.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", 0)
-        run_experiment(ExperimentConfig(**FAST, **arm))
-        variance_trace(ExperimentConfig(**FAST, **arm))
+        run_experiment(ExperimentConfig(**arm))
+        variance_trace(ExperimentConfig(**arm))
         assert threads == []
 
 
@@ -638,10 +553,9 @@ class TestReplica:
            proposals=st.integers(1, 4), std=st.sampled_from([0.0, 0.5]),
            mask=st.sampled_from([0.0, 0.5, 0.75]), tau=st.integers(1, 4),
            total=st.integers(0, 9), base_lr=st.sampled_from([0.04, 1e9]),
-           ahead=st.booleans(), seed=st.integers(0, 2 ** 31))
+           seed=st.integers(0, 2 ** 31))
     def test_the_replica_changes_no_output(self, tmp_path_factory, optimizer, agvm, train,
-                                           proposals, std, mask, tau, total, base_lr,
-                                           ahead, seed):
+                                           proposals, std, mask, tau, total, base_lr, seed):
         cfg = ExperimentConfig(**{**FAST, "warmup_iters": 0, "optimizer": optimizer,
                                   "agvm_enabled": agvm, "proposals": proposals,
                                   "proposal_noise_std": std, "mask_fraction": mask,
@@ -650,7 +564,6 @@ class TestReplica:
         path = tmp_path_factory.mktemp("replica") / "trace.csv"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "REPLICA_MIN_BATCH", 2)
-            mp.setattr(harness, "DRAW_AHEAD_MIN_ELEMENTS", 0 if ahead else 1 << 62)
             pids = record_replicas(mp)
             forked = self.outputs(cfg, train, path)
             assert len(pids) == 1 and reaped(pids[0])
@@ -727,6 +640,37 @@ class TestReplica:
                 f"cpus={sorted(allowed - {min(allowed)})}")):
             run_experiment(ExperimentConfig(**FAST))
         assert os.sched_getaffinity(0) == allowed
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["ok", "replica-error"])
+    def test_the_run_keeps_one_blas_thread_while_its_replica_lives(self, monkeypatch, fails):
+        monkeypatch.setattr(harness, "REPLICA_MIN_BATCH", 2)
+        real_set, real_half = harness._blas_threads, harness._Runner.half_loss_and_grad
+        parent, calls, seen = os.getpid(), [], []
+
+        def recorded(counts):
+            calls.append(counts)
+            return real_set(counts)
+
+        def probe(self, idx, t, part, drawn=None):
+            if os.getpid() == parent:
+                seen.append([get() for get, _ in harness._openblas()])
+            elif fails and t == 2:
+                raise MemoryError("no room for the half pass")
+            return real_half(self, idx, t, part, drawn)
+
+        monkeypatch.setattr(harness, "_blas_threads", recorded)
+        monkeypatch.setattr(harness._Runner, "half_loss_and_grad", probe)
+        before = real_set(2)
+        try:
+            with pytest.raises(ReplicaError) if fails else contextlib.nullcontext():
+                variance_trace(ExperimentConfig(**{**FAST, "tau": 1}))
+            after = [get() for get, _ in harness._openblas()]
+        finally:
+            real_set(before)
+        blas = len(harness._openblas())
+        assert calls == [1, [2] * blas]
+        assert seen and all(counts == [1] * blas for counts in seen)
+        assert after == [2] * blas
 
     @pytest.mark.parametrize("train", [True, False])
     def test_a_diverging_run_reaps_its_replica(self, monkeypatch, train):
@@ -863,8 +807,8 @@ def record_battery_children(monkeypatch) -> list:
 
 
 def no_in_run_concurrency(monkeypatch):
-    """Make any worker that starts a draw-ahead thread or forks a replica
-    fail its run."""
+    """Make any worker that starts a worker thread or forks a replica fail
+    its run."""
     def refused(*args, **kwargs):
         raise AssertionError("a battery worker started in-run concurrency")
 
@@ -911,11 +855,10 @@ class TestBattery:
             # two half passes per step, one of them in a replica out of a battery
             ExperimentConfig(**{**small, "batch_size": harness.REPLICA_MIN_BATCH,
                                 "n_samples": harness.REPLICA_MIN_BATCH, "seed": seeds[0]}),
-            # 2 levels x 8 proposals x 256 rows x 16 head inputs: drawn ahead out of a battery
+            # large noise: 2 levels x 8 proposals x 256 rows x 16 head inputs
             ExperimentConfig(**{**small, "batch_size": 256, "n_samples": 256, "head_width": 16,
                                 "proposals": 8, "proposal_noise_std": 0.5, "seed": seeds[-1]}),
         ]
-        assert harness._Runner(configs[-1]).draws_ahead()
         tmp_path = tmp_path_factory.mktemp("battery")
         with pytest.MonkeyPatch.context() as mp:
             pids = record_battery_children(mp)

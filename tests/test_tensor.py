@@ -15,9 +15,9 @@ from hypothesis.extra import numpy as hnp
 
 import agvm.models
 from agvm.models import ModelConfig, SyntheticModel, TwoBlockLinearModel, make_dataset
-from agvm.tensor import (LOSS_BLOCK, ShapeError, TapeError, Tensor, _keep_freed_memory,
-                         _RowSum, add, grad_check, gradients, load_params, masked_select, matmul,
-                         multiply, new_graph, no_grad, pack_params, relu,
+from agvm.tensor import (DOT_BLOCK, ShapeError, TapeError, Tensor, _keep_freed_memory,
+                         _RowSum, add, blocked_dot, grad_check, gradients, load_params,
+                         masked_select, matmul, multiply, new_graph, no_grad, pack_params, relu,
                          relu_kink_seen, reset_relu_kink, squared_error)
 
 
@@ -52,17 +52,28 @@ class TestForwardOps:
         assert squared_error(Tensor([1.0, 2.0]), Tensor([1.0, 2.0])).data == 0.0
 
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 3 * LOSS_BLOCK + 5), seed=st.integers(0, 2 ** 31))
+    @given(n=st.integers(1, 3 * DOT_BLOCK + 5), seed=st.integers(0, 2 ** 31))
     def test_squared_error_sums_fixed_blocks_in_order(self, n, seed):
         diff = np.random.default_rng(seed).normal(0, 1, n)
         got = squared_error(Tensor(diff), Tensor(np.zeros(n))).data
-        blocks = [diff[i:i + LOSS_BLOCK] for i in range(0, n, LOSS_BLOCK)]
+        blocks = [diff[i:i + DOT_BLOCK] for i in range(0, n, DOT_BLOCK)]
         want = blocks[0].dot(blocks[0])
         for block in blocks[1:]:
             want += block.dot(block)
         assert got == want / n
-        if n <= LOSS_BLOCK:         # one block: one dot over everything
+        if n <= DOT_BLOCK:         # one block: one dot over everything
             assert got == np.dot(diff, diff) / n
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 3 * DOT_BLOCK + 5), seed=st.integers(0, 2 ** 31))
+    def test_blocked_dot_sums_fixed_blocks_in_order(self, n, seed):
+        a, b = np.random.default_rng(seed).normal(0, 1, (2, n))
+        want = a[:DOT_BLOCK].dot(b[:DOT_BLOCK])
+        for i in range(DOT_BLOCK, n, DOT_BLOCK):
+            want += a[i:i + DOT_BLOCK].dot(b[i:i + DOT_BLOCK])
+        assert blocked_dot(a, b) == want
+        if n <= DOT_BLOCK:
+            assert blocked_dot(a, b) == np.dot(a, b)
 
     def test_add_broadcasts_bias_over_batch(self):
         out = add(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([10.0, 20.0]))

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import time
@@ -14,7 +15,7 @@ from agvm import variance
 from agvm.harness import BENCHMARK
 from agvm.models import ConfigError, ModelConfig, ModulePartition, \
     SyntheticModel, TwoBlockLinearModel, make_dataset
-from agvm.tensor import ShapeError, gradients
+from agvm.tensor import DOT_BLOCK, ShapeError, blocked_dot, gradients
 from agvm.variance import (GroupedGradients, GroupingError,
                            brute_force_variance_oracle, cosine_similarity,
                            full_variance_estimate, per_sample_gradients,
@@ -216,6 +217,12 @@ def cosine_numpy_tail(a, b, eps_norm=1e-12):
 
 
 class TestCosine:
+    def test_a_long_vector_takes_the_blocked_dot(self):
+        a, b = np.random.default_rng(0).normal(0, 1, (2, 3 * DOT_BLOCK + 5))
+        aa, bb = blocked_dot(a, a), blocked_dot(b, b)
+        assert variance._squared_norm(a) == aa
+        assert cosine_similarity(a, b) == float(blocked_dot(a, b)) / (math.sqrt(aa) * math.sqrt(bb))
+
     def test_parallel(self):
         assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
 
