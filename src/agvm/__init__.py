@@ -17,8 +17,8 @@ from .variance import (GroupedGradients, GroupingError, PhiEstimate,
 from .optim import (AgvmAdamW, AgvmSgd, DivergenceError, Modulator, OptimizerError,
                     compute_mu, force_unit_mu, load_checkpoint, save_checkpoint,
                     smooth_mu)
-from .harness import (BatteryError, ExperimentConfig, LrSchedule, ReplicaError, RunResult,
-                      TraceRow, ablation_suite, emit_csv, load_config, lr_at,
+from .harness import (BatteryError, ExperimentConfig, ReplicaError, RunResult, TraceRow,
+                      ablation_suite, emit_csv, load_config, lr_at,
                       oracle_check, phi_gap, read_csv, run_battery, run_experiment,
                       summary_text, variance_trace)
 

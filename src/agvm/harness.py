@@ -24,15 +24,16 @@ Concurrency contract; every output stays a function of the config alone:
   caller and forked children, assigned by a rule on the configs alone
   (``_plan``); ``ablation_suite`` runs its arms so.
 - Core budget: while a battery runs, each worker, the caller too, has one
-  core (``_core_budget``): no replica, and OpenBLAS on one thread. Long dots
+  core (``_one_core``): no replica, and OpenBLAS on one thread. Long dots
   sum in fixed blocks (``tensor.blocked_dot``), so no BLAS call's bits
   depend on its thread count, and every path gives the same bytes.
-- A process forks (``_fork``) only where ``os.fork`` exists, a second CPU
-  is usable and no other thread is alive (``_can_fork``): a fork copies one
-  thread, and a lock another holds stays held; otherwise the work runs
-  in-process. A forked child ignores SIGINT, and it and every worker thread
-  leave their creator's CPU (``_leave_cpu``): on a 2-core VM whose cpusets
-  turn load balancing off, they often stayed.
+- A process forks (``_fork``) only outside a battery's workers, where
+  ``os.fork`` exists, a second CPU is usable and no other thread is alive
+  (``_can_fork``): a fork copies one thread, and a lock another holds
+  stays held; otherwise the work runs in-process. A forked child ignores
+  SIGINT, and it and every worker thread leave their creator's CPU
+  (``_leave_cpu``): on a 2-core VM whose cpusets turn load balancing off,
+  they often stayed.
 
 Measurements behind each choice: BENCH_replica.json, BENCH_oracle_overlap.json,
 BENCH_battery_fanout.json and BENCH_in_run_mechanisms.json.
@@ -64,48 +65,25 @@ from .variance import (GroupedGradients, brute_force_variance_oracle,
 PHI_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    base_lr: float = 0.04
-    base_batch: int = 32
-    warmup_iters: int = 0
-    scaling: str = "linear-then-sqrt"
-    decay: str = "multistep"
-    milestones: tuple = ()
-    decay_factor: float = 0.1
-    poly_power: float = 0.9
-    total_iterations: int = 1
+def lr_at(config: ExperimentConfig, t: int) -> float:
+    """Learning rate after t completed iterations of a run of ``config``.
 
-    def peak(self, b: int) -> float:
-        """Peak learning rate after batch-size scaling: linear up to batch
-        128, square-root growth beyond it (in linear-then-sqrt mode)."""
-        if self.scaling == "linear":
-            return self.base_lr * (b / self.base_batch)
-        if self.scaling == "linear-then-sqrt":
-            if b <= 128:
-                return self.base_lr * (b / self.base_batch)
-            return self.base_lr * (128 / self.base_batch) * math.sqrt(b / 128)
-        raise ConfigError(f"unknown lr scaling mode {self.scaling!r}")
-
-
-def lr_at(schedule: LrSchedule, t: int, b: int) -> float:
-    """Learning rate after t completed iterations at batch size b.
-
-    Linear warmup from peak/warmup_iters to the peak, then multistep or
-    polynomial decay.
+    Linear warmup from ``peak_lr()/warmup_iters`` to ``peak_lr()``, then
+    multistep or polynomial decay; t lies in [0, max(1, total_iterations)].
     """
-    if t < 0 or t > schedule.total_iterations:
-        raise ConfigError(f"iteration {t} outside [0, {schedule.total_iterations}]")
-    peak = schedule.peak(b)
-    if schedule.warmup_iters > 0 and t < schedule.warmup_iters:
-        return peak * (t + 1) / schedule.warmup_iters
-    if schedule.decay == "multistep":
-        drops = sum(1 for m in schedule.milestones if t >= m)
-        return peak * schedule.decay_factor ** drops
-    if schedule.decay == "poly":
-        frac = t / max(1, schedule.total_iterations)
-        return peak * (1.0 - frac) ** schedule.poly_power
-    raise ConfigError(f"unknown lr decay mode {schedule.decay!r}")
+    total = max(1, config.total_iterations)
+    if t < 0 or t > total:
+        raise ConfigError(f"iteration {t} outside [0, {total}]")
+    peak = config.peak_lr()
+    if config.warmup_iters > 0 and t < config.warmup_iters:
+        return peak * (t + 1) / config.warmup_iters
+    if config.lr_decay == "multistep":
+        drops = sum(1 for m in config.milestones if t >= m)
+        return peak * config.decay_factor ** drops
+    if config.lr_decay == "poly":
+        frac = t / total
+        return peak * (1.0 - frac) ** config.poly_power
+    raise ConfigError(f"unknown lr decay mode {config.lr_decay!r}")
 
 
 # Ablation arms in report order: arm name -> model-field overrides applied on
@@ -158,10 +136,6 @@ class ExperimentConfig:
     batch_size: int = 256
     total_iterations: int = 2000
     seed: int = 1
-    # accepted and validated (>= 1) so existing config files and flags keep
-    # working, but ignored: a run's processes and threads follow the usable
-    # CPUs (the module docstring's concurrency contract), never this key
-    workers: int = 1
     # modulation (tau=0 picks the default: 10, or 5 above batch 1024)
     agvm_enabled: bool = True
     tau: int = 0
@@ -223,8 +197,6 @@ class ExperimentConfig:
                        "0 < clip_lo <= 1 <= clip_hi")
         if self.tau < 0:
             bad.append(f"tau must be >= 0 (0 = default), got {self.tau}")
-        if self.workers < 1:
-            bad.append(f"workers must be >= 1, got {self.workers}")
         model = None
         try:
             model = self.model_config()
@@ -239,8 +211,8 @@ class ExperimentConfig:
             # the rate is largest at warmup's last step (its peak * (t + 1) is formed
             # before the division) or at step T-1, after every milestone decay reached
             try:
-                lrs = [lr_at(self.schedule(), t, self.batch_size)
-                       for t in (max(0, self.warmup_iters - 1), max(0, self.total_iterations - 1))]
+                lrs = [lr_at(self, t) for t in (max(0, self.warmup_iters - 1),
+                                                max(0, self.total_iterations - 1))]
             except OverflowError:
                 lrs = [math.inf]
             if not all(map(math.isfinite, lrs)):
@@ -296,14 +268,18 @@ class ExperimentConfig:
         base.update(self._ablation_fields())
         return ModelConfig(**base)
 
-    def schedule(self) -> LrSchedule:
-        return LrSchedule(
-            base_lr=self.base_lr, base_batch=self.base_batch,
-            warmup_iters=self.warmup_iters, scaling=self.lr_scaling,
-            decay=self.lr_decay, milestones=tuple(self.milestones),
-            decay_factor=self.decay_factor, poly_power=self.poly_power,
-            total_iterations=max(1, self.total_iterations),
-        )
+    def peak_lr(self) -> float:
+        """The peak learning rate, base_lr scaled from base_batch to
+        batch_size: linearly, or (linear-then-sqrt) linearly up to batch 128
+        and by the square root of the batch beyond it."""
+        b = self.batch_size
+        if self.lr_scaling == "linear":
+            return self.base_lr * (b / self.base_batch)
+        if self.lr_scaling == "linear-then-sqrt":
+            if b <= 128:
+                return self.base_lr * (b / self.base_batch)
+            return self.base_lr * (128 / self.base_batch) * math.sqrt(b / 128)
+        raise ConfigError(f"unknown lr scaling mode {self.lr_scaling!r}")
 
     def effective_tau(self) -> int:
         if self.tau > 0:
@@ -583,15 +559,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# True while run_battery's workers run: each has one core, so none forks
+_one_core = False
+
+
 def _can_fork() -> bool:
-    """Whether this process may fork a worker: ``os.fork`` exists, a second
-    CPU is usable, and no other thread is alive."""
-    return hasattr(os, "fork") and _usable_cpus() > 1 and threading.active_count() == 1
-
-
-# The cores each run may use: None, or 1 while run_battery's workers run, so
-# that no run forks a replica
-_core_budget: Optional[int] = None
+    """Whether this process may fork a worker: it is not one of a battery's
+    workers, ``os.fork`` exists, a second CPU is usable, and no other
+    thread is alive."""
+    return (not _one_core and hasattr(os, "fork") and _usable_cpus() > 1
+            and threading.active_count() == 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -659,7 +636,6 @@ class _Runner:
             config.noise_std, config.dataset_seed)
         self.model = SyntheticModel(config.model_config(), seed=config.seed)
         self.partition = self.model.partition
-        self.schedule = config.schedule()
         self.tau = config.effective_tau()
         self.batch_rng = np.random.default_rng(
             np.random.SeedSequence([config.seed & 0xFFFFFFFF, 0x5EED]))
@@ -748,14 +724,13 @@ class _Runner:
         halves = cfg.batch_size >= REPLICA_MIN_BATCH
         trace = []
         diverged_at, reason = -1, None
-        spare_core = _core_budget is None or _core_budget > 1
-        replica = _Replica(self) if halves and spare_core and _can_fork() else None
+        replica = _Replica(self) if halves and _can_fork() else None
         # the run's own OpenBLAS threads would contend with the replica's core
         threads = _blas_threads(1) if replica is not None else None
         try:
             for t in range(0, cfg.total_iterations + 1, stride):
                 idx = self.draw_batch()
-                eta = lr_at(self.schedule, max(0, t - 1), cfg.batch_size)
+                eta = lr_at(cfg, max(0, t - 1))
                 groups = None
                 if halves:
                     drawn = self.draw(t, cfg.batch_size)
@@ -909,7 +884,7 @@ def run_battery(configs, train: bool = True) -> list:
     A child's exception is raised here, and the children are killed and
     reaped on every exit. With one usable CPU, without ``os.fork`` or while
     another thread is alive, the runs go in order in the calling process."""
-    global _core_budget
+    global _one_core
     configs = list(configs)
     for config in configs:
         config.validate()
@@ -919,7 +894,7 @@ def run_battery(configs, train: bool = True) -> list:
         return [run(config) for config in configs]
     plan = _plan(configs, train, workers)
     results, children = [None] * len(configs), []
-    budget, _core_budget = _core_budget, 1
+    _one_core = True
     threads = _blas_threads(1)
     try:
         for runs in plan[1:]:
@@ -929,7 +904,7 @@ def run_battery(configs, train: bool = True) -> list:
         for child in children:
             child.collect(results)
     finally:
-        _core_budget = budget
+        _one_core = False
         _blas_threads(threads)
         for child in children:
             child.close()

@@ -328,12 +328,11 @@ class TwoBlockLinearModel:
     are cheap and far from zero at a random initialization.
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, output_dim: int, seed: int,
-                 init_scale: float = 1.0):
+    def __init__(self, input_dim: int, hidden_dim: int, output_dim: int, seed: int):
         rng = np.random.default_rng(seed)
-        a = Tensor(rng.normal(0.0, init_scale / np.sqrt(input_dim), (input_dim, hidden_dim)),
+        a = Tensor(rng.normal(0.0, 1.0 / np.sqrt(input_dim), (input_dim, hidden_dim)),
                    requires_grad=True)
-        b = Tensor(rng.normal(0.0, init_scale / np.sqrt(hidden_dim), (hidden_dim, output_dim)),
+        b = Tensor(rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), (hidden_dim, output_dim)),
                    requires_grad=True)
         self.params = [a, b]
         self.partition = ModulePartition(

@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from agvm.harness import (ExperimentConfig, LrSchedule, ablation_suite,
+from agvm import harness
+from agvm.harness import (ExperimentConfig, ablation_suite,
                           emit_csv, oracle_check, run_battery, run_experiment)
 from agvm.models import (ModelConfig, ModulePartition, SyntheticModel,
                          make_dataset)
@@ -217,9 +218,9 @@ def test_07_ablation_directions():
 
 def test_08_schedule_reproduction():
     with criterion(8, "batch-scaled peak learning rates hit the reference points"):
-        sched = LrSchedule(base_lr=0.04, base_batch=32, scaling="linear-then-sqrt")
+        sched = ExperimentConfig(base_lr=0.04, base_batch=32, lr_scaling="linear-then-sqrt")
         for batch, expected in ((32, 0.04), (256, 0.226), (512, 0.32), (1024, 0.452)):
-            got = sched.peak(batch)
+            got = replace(sched, batch_size=batch).peak_lr()
             assert abs(got - expected) / expected < 0.005, (batch, got)
 
 
@@ -263,16 +264,26 @@ def test_09_convergence_rate_direction(optimizer_name):
         assert time.time() - start < 120.0
 
 
-def test_10_determinism(tmp_path):
+def test_10_determinism(tmp_path, monkeypatch):
     with criterion(10, "same config and seed give byte-identical CSVs, any worker count"):
-        cfg = dict(total_iterations=60, batch_size=32, n_samples=256,
-                   input_dim=16, trunk_widths=(16,), levels=2, head_width=8,
-                   warmup_iters=5, tau=10, seed=5, mask_fraction=0.25)
+        cfg = ExperimentConfig(total_iterations=60, batch_size=32, n_samples=256,
+                               input_dim=16, trunk_widths=(16,), levels=2, head_width=8,
+                               warmup_iters=5, tau=10, seed=5, mask_fraction=0.25)
+        forks, fork = [], harness._fork
+
+        def counted(serve):
+            forks.append(fork(serve))
+            return forks[-1]
+
+        monkeypatch.setattr(harness, "_fork", counted)
+        can_fork = harness._can_fork()
+        # twice in-process, then twice as a battery: where a second CPU is
+        # usable, one of the battery's runs is in a forked child
+        results = [run_experiment(cfg), run_experiment(cfg)] + run_battery([cfg, cfg])
+        assert len(forks) == int(can_fork)
         paths = []
-        for run, workers in enumerate((1, 1, 3)):
-            res = run_experiment(ExperimentConfig(workers=workers, **cfg))
+        for run, res in enumerate(results):
             path = tmp_path / f"run{run}.csv"
             emit_csv(res.trace, str(path))
             paths.append(path.read_bytes())
-        assert paths[0] == paths[1]
-        assert paths[0] == paths[2]
+        assert paths[1:] == [paths[0]] * 3

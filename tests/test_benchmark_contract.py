@@ -107,3 +107,10 @@ def test_ablation_battery_records_every_required_span(tracing, workloads):
     with tracing.installed(tracer):
         harness.ablation_suite(config)
     assert tracing.silent_spans(tracer, workloads.SPANS["ablate-b256"]) == []
+
+
+@pytest.mark.parametrize("smoke", [False, True])
+@pytest.mark.parametrize("workload", ["train-b256-sgd", "train-b2048-adamw", "ablate-b256"])
+def test_every_configured_workload_builds_a_valid_config(workloads, workload, smoke):
+    # every key a workload sets must still be a config key with a valid value
+    workloads.make(workload, smoke).config(0).validate()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agvm import harness
-from agvm.harness import (ExperimentConfig, LrSchedule, ReplicaError, TraceRow,
+from agvm.harness import (ExperimentConfig, ReplicaError, TraceRow,
                           ablation_suite, config_from_pairs, emit_csv, load_config, lr_at,
                           phi_gap, read_csv, run_experiment, summary_text,
                           variance_trace)
@@ -35,45 +35,45 @@ LARGE_BATCH = _load("workloads").LARGE_BATCH
 class TestLrSchedule:
     def sched(self, **kw):
         base = dict(base_lr=0.04, base_batch=32, warmup_iters=0,
-                    scaling="linear-then-sqrt", total_iterations=1000)
+                    lr_scaling="linear-then-sqrt", total_iterations=1000, batch_size=32)
         base.update(kw)
-        return LrSchedule(**base)
+        return ExperimentConfig(**base)
 
     @pytest.mark.parametrize("batch,peak", [
         (32, 0.04), (256, 0.226), (512, 0.32), (1024, 0.452),
     ])
     def test_reference_peaks_within_half_percent(self, batch, peak):
-        got = self.sched().peak(batch)
+        got = self.sched(batch_size=batch).peak_lr()
         assert abs(got - peak) / peak < 0.005
 
     def test_linear_mode(self):
-        assert self.sched(scaling="linear").peak(256) == pytest.approx(0.32)
+        assert self.sched(lr_scaling="linear", batch_size=256).peak_lr() == pytest.approx(0.32)
 
     def test_linear_below_threshold(self):
-        assert self.sched().peak(64) == pytest.approx(0.08)
+        assert self.sched(batch_size=64).peak_lr() == pytest.approx(0.08)
 
     def test_warmup_starts_at_peak_over_warmup(self):
         s = self.sched(warmup_iters=10)
-        assert lr_at(s, 0, 32) == pytest.approx(0.004)
-        assert lr_at(s, 9, 32) == pytest.approx(0.04)
+        assert lr_at(s, 0) == pytest.approx(0.004)
+        assert lr_at(s, 9) == pytest.approx(0.04)
 
     def test_warmup_monotone_then_multistep_decay(self):
-        s = self.sched(warmup_iters=50, decay="multistep", milestones=(200, 400),
+        s = self.sched(warmup_iters=50, lr_decay="multistep", milestones=(200, 400),
                        decay_factor=0.1)
-        lrs = [lr_at(s, t, 32) for t in range(0, 500)]
+        lrs = [lr_at(s, t) for t in range(0, 500)]
         assert all(b >= a for a, b in zip(lrs[:50], lrs[1:50]))
         assert all(b <= a for a, b in zip(lrs[50:], lrs[51:]))
         assert lrs[250] == pytest.approx(0.004)
         assert lrs[450] == pytest.approx(0.0004)
 
     def test_poly_decay(self):
-        s = self.sched(decay="poly", poly_power=0.9, total_iterations=100)
-        assert lr_at(s, 0, 32) == pytest.approx(0.04)
-        assert lr_at(s, 50, 32) == pytest.approx(0.04 * 0.5 ** 0.9)
+        s = self.sched(lr_decay="poly", poly_power=0.9, total_iterations=100)
+        assert lr_at(s, 0) == pytest.approx(0.04)
+        assert lr_at(s, 50) == pytest.approx(0.04 * 0.5 ** 0.9)
 
     def test_out_of_range_iteration(self):
         with pytest.raises(ConfigError):
-            lr_at(self.sched(), 2000, 32)
+            lr_at(self.sched(), 2000)
 
 
 class TestConfig:
@@ -81,8 +81,10 @@ class TestConfig:
         ExperimentConfig().validate()
 
     def test_unknown_key_is_hard_error(self):
-        with pytest.raises(ConfigError, match="unknown config key 'typo_key'"):
-            config_from_pairs({"typo_key": "1"})
+        # the removed workers key is as unknown as a typo
+        for key in ("typo_key", "workers"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                config_from_pairs({key: "1"})
 
     def test_coercions(self):
         cfg = config_from_pairs({
@@ -210,7 +212,7 @@ class TestConfigSurface:
 
         def finite(t):
             try:
-                return math.isfinite(lr_at(cfg.schedule(), t, batch))
+                return math.isfinite(lr_at(cfg, t))
             except OverflowError:
                 return False
 
@@ -266,11 +268,6 @@ class TestRunExperiment:
         b = run_experiment(cfg)
         assert a.trace == b.trace
         assert a.final_loss == b.final_loss
-
-    def test_worker_pool_does_not_change_results(self):
-        a = run_experiment(ExperimentConfig(**FAST, workers=1))
-        b = run_experiment(ExperimentConfig(**FAST, workers=4))
-        assert a.trace == b.trace
 
     def test_trace_row_count(self):
         cfg = ExperimentConfig(**FAST)
@@ -379,7 +376,7 @@ class TestRunLoop:
             for _ in range(k + 1):
                 idx = fresh.draw_batch()
             loss, _, groups = fresh.grouped_loss_and_grad(idx, t)
-            eta = lr_at(fresh.schedule, max(0, t - 1), cfg.batch_size)
+            eta = lr_at(cfg, max(0, t - 1))
             want = fresh.trace_rows(t, loss, groups, fresh.opt.modulator.mu, eta)
             assert [row for row in free.trace if row.iter == t] == want
         # step 0 is the same batch at the same parameters in both modes
@@ -886,13 +883,13 @@ class TestBattery:
         seen = []
 
         def probe(cfg):
-            seen.append((harness._core_budget, harness._blas_threads(1)))
+            seen.append((harness._one_core, harness._can_fork(), harness._blas_threads(1)))
             return variance_trace(cfg)
 
         monkeypatch.setattr(harness, "variance_trace", probe)
         harness.run_battery(BATTERY[:2], train=False)
-        assert seen == [(1, [1] * len(threads))]        # the caller's share
-        assert harness._core_budget is None
+        assert seen == [(True, False, [1] * len(threads))]      # the caller's share
+        assert harness._one_core is False
         assert harness._blas_threads(threads) == threads
 
     def test_a_config_error_in_a_child_is_raised_as_one(self, monkeypatch):
