@@ -5,7 +5,8 @@ raw multipliers sqrt((phi_anchor + eps) / (phi_i + eps)), clips them to
 [clip_lo, clip_hi], and folds them into a running value with an exponential
 moving average. The anchor module's multiplier is pinned at exactly 1. The
 optimizers apply the multiplier to the decay-coupled momentum (SGD) or to
-the bias-corrected adaptive update plus decoupled decay (AdamW).
+the bias-corrected adaptive update plus decoupled decay (AdamW), updating
+the moments and the weights in place in the order of the formulas given.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ def compute_mu(phi_values: np.ndarray, mod: Modulator) -> np.ndarray:
     phi = np.asarray(phi_values, dtype=np.float64)
     if phi.shape != (mod.n_modules,):
         raise ValueError(f"expected {mod.n_modules} phi values, got shape {phi.shape}")
-    if np.any(phi < 0) or not np.all(np.isfinite(phi)):
+    if (phi < 0).any() or not np.isfinite(phi).all():
         raise ValueError("phi values must be finite and non-negative")
     raw = np.sqrt((phi[mod.anchor] + mod.eps_ratio) / (phi + mod.eps_ratio))
-    np.clip(raw, mod.clip_lo, mod.clip_hi, out=raw)
+    raw.clip(mod.clip_lo, mod.clip_hi, out=raw)
     raw[mod.anchor] = 1.0
     return raw
 
@@ -88,7 +89,7 @@ def smooth_mu(mod: Modulator, raw_mu: np.ndarray):
     inputs since a convex combination stays in range) with the anchor reset
     to exactly 1."""
     mod.mu = mod.alpha * mod.mu + (1.0 - mod.alpha) * np.asarray(raw_mu, dtype=np.float64)
-    np.clip(mod.mu, mod.clip_lo, mod.clip_hi, out=mod.mu)
+    mod.mu.clip(mod.clip_lo, mod.clip_hi, out=mod.mu)
     mod.mu[mod.anchor] = 1.0
 
 
@@ -105,22 +106,29 @@ class _ModulatedOptimizer:
         if self.modulator.n_modules != partition.h:
             raise ValueError("modulator size does not match partition")
         self._module_sizes = [sl.stop - sl.start for sl in partition.slices.values()]
+        self._mu_seen = self._mu_coords = None
         self.t = 0
 
     def _check_finite(self, vec: np.ndarray, what: str):
-        if np.all(np.isfinite(vec)):
+        if np.isfinite(vec).all():
             return
         for name, sl in self.partition.slices.items():
-            if not np.all(np.isfinite(vec[sl])):
+            if not np.isfinite(vec[sl]).all():
                 raise DivergenceError(f"non-finite {what} in module '{name}' at step {self.t}")
 
     def _mu_per_coord(self) -> np.ndarray:
-        return np.repeat(self.modulator.mu, self._module_sizes)
+        """Each coordinate's module multiplier, repeated anew when mu changed."""
+        if self.modulator.mu.tobytes() != self._mu_seen:
+            self._mu_seen = self.modulator.mu.tobytes()
+            self._mu_coords = np.repeat(self.modulator.mu, self._module_sizes)
+        return self._mu_coords
 
     def _modulation_due(self) -> bool:
         return (not self.modulator.pinned) and self.t % self.modulator.tau == 0
 
     def _phi_from_groups(self, groups: GroupedGradients, scale: Optional[np.ndarray]) -> np.ndarray:
+        if scale is None and groups.names == self.partition.names:
+            return 1.0 - groups.cosine
         phi = np.empty(self.partition.h)
         for i, (name, sl) in enumerate(self.partition.slices.items()):
             g1, g2 = groups.g1[name], groups.g2[name]
@@ -154,8 +162,12 @@ class AgvmSgd(_ModulatedOptimizer):
             if groups is None:
                 raise OptimizerError(f"step {self.t} is a modulation step but no grouped gradients were given")
             self.modulator.update(self._phi_from_groups(groups, scale=None))
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * (grad + self.weight_decay * w)
-        w -= (eta * self._mu_per_coord()) * self.m
+        # m = beta1 * m + (1 - beta1) * (grad + weight_decay * w); w -= (eta * mu) * m
+        step = np.multiply(w, self.weight_decay)
+        step += grad
+        self.m *= self.beta1
+        self.m += np.multiply(step, 1.0 - self.beta1, out=step)
+        w -= np.multiply(np.multiply(self._mu_per_coord(), eta, out=step), self.m, out=step)
 
 
 class AgvmAdamW(_ModulatedOptimizer):
@@ -189,16 +201,23 @@ class AgvmAdamW(_ModulatedOptimizer):
             raise OptimizerError(f"learning rate must be >= 0, got {eta}")
         self.t += 1
         self._check_finite(grad, "gradient")
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        # m = beta1 * m + (1 - beta1) * grad; v = beta2 * v + (1 - beta2) * grad * grad
+        update, tmp = np.multiply(grad, 1.0 - self.beta1), np.multiply(grad, 1.0 - self.beta2)
+        self.m *= self.beta1
+        self.m += update
+        self.v *= self.beta2
+        self.v += np.multiply(tmp, grad, out=tmp)
         if self._modulation_due():
             if groups is None:
                 raise OptimizerError(f"step {self.t} is a modulation step but no grouped gradients were given")
             self.modulator.update(self._phi_from_groups(groups, scale=np.sqrt(self.v + self.eps)))
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        r = m_hat / np.sqrt(v_hat + self.eps)
-        update = (eta * self._mu_per_coord()) * (r + self.weight_decay * w)
+        # update = (eta * mu) * (m_hat / sqrt(v_hat + eps) + weight_decay * w)
+        np.divide(self.v, 1.0 - self.beta2 ** self.t, out=tmp)
+        tmp += self.eps
+        np.divide(np.divide(self.m, 1.0 - self.beta1 ** self.t, out=update),
+                  np.sqrt(tmp, out=tmp), out=update)
+        update += np.multiply(w, self.weight_decay, out=tmp)
+        update *= np.multiply(self._mu_per_coord(), eta, out=tmp)
         self._check_finite(update, "update")
         w -= update
 

@@ -1,46 +1,32 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-The operation set is the smallest one that supports the synthetic model
-suite: matmul, add, multiply, relu, squared_error and masked_select. A
-tensor's ``data`` is one numpy array at the tensor's shape; every primitive
-and every pull reads and returns arrays at their own shapes. Elementwise
-binaries take equal shapes, broadcast a ``[d]`` side over the rows of a
-``[b, d]`` side, or repeat a 2-D ``[r, d]`` side over the K >= 2 row blocks
-of a ``[K*r, d]`` side (output row ``k*r + j`` uses row j of the repeated
-side, whose gradient is the sum of the K blocks). Anything richer raises
-ShapeError.
+The operations are matmul, add, multiply, relu, squared_error and
+masked_select, on tensors whose ``data`` is one array at the tensor's
+shape. Elementwise binaries take equal shapes, broadcast a ``[d]`` side over
+the rows of a ``[b, d]`` one, or repeat a 2-D ``[r, d]`` side over the K >= 2
+row blocks of a ``[K*r, d]`` one; anything richer raises ShapeError.
 
-Graph recording is thread-local: the first recorded operation on a thread
-opens a fresh tape, and a reverse pass consumes it. A forward pass starts
-with ``new_graph()``, which drops a tape whose loss never reached a reverse
-pass. Threads may share leaf tensors as long as they only read them.
-
-A record (``Tape``) holds no tensor but a ``requires_grad`` leaf, and a
-pull captures only the arrays its gradients read (a matmul or multiply an
+Recording is thread-local (threads may share leaves they only read): a
+thread's first recorded op opens a tape, a reverse pass consumes it, and
+``new_graph()`` drops one whose loss never reached a reverse pass. A record
+(``Tape``) is ``(pull, tracked, parents)``, a tuple entry per input in the
+last two (``_emit``). It holds no tensor but a ``requires_grad`` leaf, and a
+pull captures only the arrays its gradients read (a matmul or multiply
 operand only when the other one is tracked, a relu its output, a
-squared_error the difference, a masked_select the mask and a shape), so a
-forward intermediate lives only as long as a pull or the caller reads it. A pull computes
-gradients only for the inputs that were tracked. The reverse pass (``_walk``)
-pops each record as it walks it, freeing what its pull captured by
-reference counting.
-
-At import this module raises glibc's mmap threshold to 32 MiB and its trim
-threshold to 256 MiB and caps glibc at one malloc arena (``mallopt``), so
-what a reverse pass frees stays on the one heap for the next step, also for
-arrays that ``oracle_check``'s worker thread allocates. It does nothing
-where the C library has no ``mallopt`` or the environment sets
-``GLIBC_TUNABLES`` or one of ``MALLOC_MMAP_THRESHOLD_``,
-``MALLOC_TRIM_THRESHOLD_`` and ``MALLOC_TOP_PAD_``.
+squared_error the difference, a masked_select the mask), so a forward
+intermediate lives only as long as a pull or the caller reads it; the
+reverse pass (``_walk``) frees a record's captures as it pops it.
+At import the module sets glibc's heap policy (``_keep_freed_memory``).
 
 Bit rules. Every sum over the batch axis for a leaf's gradient goes through
 BLAS: a matmul's right operand as ``left.T @ right``, a bias as a cached
-ones vector times the ``[rows, w]`` incoming gradient, so a bias gradient
-can differ from ``sum(axis=0)`` in the last bits; the row-block fold of a
-repeated side stays a numpy axis-0 sum. relu is ``np.fmax(x, 0.0)``, with
+ones vector times the ``[rows, w]`` incoming gradient; the row-block fold of
+a repeated side stays a numpy axis-0 sum. relu is ``np.fmax(x, 0.0)`` with
 the bits of ``np.where(x > 0, x, 0.0)``: only when the input holds an exact
-zero, which relu checks to flag a kink, an in-place ``+= 0.0`` turns a
--0.0 into +0.0. Every dot over a loss or a module's gradient sums in fixed
-blocks (``blocked_dot``).
+zero, which relu checks to flag a kink, an in-place ``+= 0.0`` turns a -0.0
+into +0.0. Scalar adds and multiplies and the loss's unit gradient are
+Python floats, with the roundings of 0-d arrays. Every dot over a loss or a
+module's gradient sums in fixed blocks (``blocked_dot``).
 """
 
 from __future__ import annotations
@@ -63,14 +49,9 @@ class TapeError(RuntimeError):
 
 
 class Tape:
-    """Ordered record of primitive applications for one forward pass.
-
-    Records ``(pull, tracked, parents)`` are appended in execution order,
-    and a taped tensor's ``node`` is its record's index. A record refers to
-    each parent by record index, ``requires_grad`` leaf or None (a
-    constant), never to its own output. A tape is consumed by exactly one
-    reverse pass; reuse raises TapeError.
-    """
+    """One forward pass's records (module docstring) in execution order; a
+    taped tensor's ``node`` is its record's index. One reverse pass consumes
+    a tape; reuse raises TapeError."""
 
     __slots__ = ("_records", "consumed")
 
@@ -98,9 +79,12 @@ _MALLOC_ENV = ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOL
 
 
 def _keep_freed_memory(libc, environ) -> bool:
-    """Set the heap policy of the module docstring through ``libc.mallopt``.
-    Returns False, and sets nothing, where ``libc`` has no ``mallopt`` or
-    ``environ`` names an allocator setting."""
+    """Raise glibc's mmap threshold to 32 MiB and its trim threshold to 256
+    MiB and cap it at one malloc arena (``libc.mallopt``), so what a reverse
+    pass frees stays on the one heap for the next step, also for arrays that
+    ``oracle_check``'s worker thread allocates. Returns False, and sets
+    nothing, where ``libc`` has no ``mallopt`` or ``environ`` names an
+    allocator setting (``_MALLOC_ENV``)."""
     mallopt = getattr(libc, "mallopt", None)
     if mallopt is None or any(name in environ for name in _MALLOC_ENV):
         return False
@@ -137,13 +121,9 @@ class no_grad:
 
 
 class Tensor:
-    """Dense row-major float64 array with optional gradient tracking.
-
-    ``data`` is the array at the tensor's shape; ``shape``, ``size`` and
-    ``ndim`` read it. A C-contiguous float64 input is aliased, not copied.
-    A tensor an operation recorded carries its ``tape`` and its record's
-    index there, ``node``; a leaf has neither.
-    """
+    """A float64 array, ``data`` (a C-contiguous float64 input is aliased),
+    with optional gradient tracking. A tensor an op recorded carries its
+    ``tape`` and its record's index there, ``node``; a leaf has neither."""
 
     __slots__ = ("data", "requires_grad", "tape", "node")
 
@@ -168,46 +148,51 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _emit(value: np.ndarray, inputs: tuple, pull: Callable) -> Tensor:
-    """Wrap an op result, recording it when any input participates in a graph.
+_FOREIGN = ("input tensor belongs to a different or already-consumed tape; "
+            "rebuild the graph from leaf tensors")
 
-    One pass over the inputs decides which are tracked, finds each one's
-    parent entry (record index, leaf or None) and checks that every input on
-    a tape is on the active one. The record keeps the mask and the parents,
-    not the inputs, and the reverse pass calls ``pull(g, tracked)`` with
-    ``g`` at the output's shape; the pull returns each input's gradient at
-    that input's shape.
-    """
+
+def _emit(value: np.ndarray, pull: Callable, a: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """Wrap an op's result on ``a`` (and ``b``), recorded when an input is in
+    a graph. An input's parent is its record index, itself for a
+    ``requires_grad`` leaf, or None for a constant; an input of another tape,
+    live or consumed, raises TapeError. The reverse pass calls ``pull(g,
+    tracked)``, g at the output's shape (a float for a scalar)."""
     if type(value) is not np.ndarray:
-        value = np.asarray(value)       # a ufunc on 0-d arrays gives a numpy scalar
+        value = np.asarray(value)       # a ufunc on 0-d inputs gives a scalar
     out = Tensor.__new__(Tensor)
     out.data, out.requires_grad, out.tape, out.node = value, False, None, None
-    if _LOCAL.no_grad:
+    local = _LOCAL
+    if local.no_grad:
         return out
-    tape = _LOCAL.tape
+    tape = local.tape
     if tape is not None and tape.consumed:
         tape = None
-    tracked = []
-    parents = []
-    for x in inputs:
-        if x.tape is None:
-            tracked.append(x.requires_grad)
-            parents.append(x if x.requires_grad else None)
-        elif x.tape is tape:
-            tracked.append(True)
-            parents.append(x.node)
+    if a.tape is None:
+        pa = a if a.requires_grad else None
+    elif a.tape is tape:
+        pa = a.node
+    else:
+        raise TapeError(_FOREIGN)
+    if b is None:
+        if pa is None:
+            return out
+        parents, tracked = (pa,), (True,)
+    else:
+        if b.tape is None:
+            pb = b if b.requires_grad else None
+        elif b.tape is tape:
+            pb = b.node
         else:
-            raise TapeError(
-                "input tensor belongs to a different or already-consumed tape; "
-                "rebuild the graph from leaf tensors"
-            )
-    if True in tracked:
-        if tape is None:
-            tape = _LOCAL.tape = Tape()
-        out.requires_grad = True
-        out.tape = tape
-        out.node = len(tape._records)
-        tape._records.append((pull, tracked, parents))
+            raise TapeError(_FOREIGN)
+        if pa is None and pb is None:
+            return out
+        parents, tracked = (pa, pb), (pa is not None, pb is not None)
+    if tape is None:
+        tape = local.tape = Tape()
+    records = tape._records
+    out.requires_grad, out.tape, out.node = True, tape, len(records)
+    records.append((pull, tracked, parents))
     return out
 
 
@@ -221,13 +206,11 @@ def _ones(n: int) -> np.ndarray:
 
 class _RowSum:
     """A pull's gradient for an operand that sums a per-row term over the
-    leading batch axis: ``left.T @ right`` (matmul's right operand) or, with
-    no ``right``, the column sums of a 2-D ``left`` (a broadcast bias). The
-    reverse pass reduces it whole, or per row group for a leaf when grouping,
-    writing a leaf's first contribution straight into its slot (``out``).
-    ``total()`` and ``total(out)``, like ``split(k)`` and ``split(k, out)``,
-    make the same BLAS call, so a packed gradient and a separately computed
-    one stay bit-identical."""
+    batch axis: ``left.T @ right`` (matmul's right operand) or, with no
+    ``right``, the column sums of a 2-D ``left`` (a broadcast bias), reduced
+    whole or per row group by the reverse pass. ``total()`` and
+    ``total(out)``, like ``split(k)`` and ``split(k, out)``, make the same
+    BLAS call, so a gradient written into its slot keeps its bits."""
 
     __slots__ = ("left", "right")
 
@@ -267,53 +250,48 @@ _SAME, _ROWS, _BLOCKS = 0, 1, 2
 
 
 def _binary_layout(name: str, a: Tensor, b: Tensor):
-    """Resolve elementwise shapes. Returns (out_shape, blocks, av, bv,
-    fold_a, fold_b).
-
-    Each side either has the output's shape (_SAME), is a ``[d]`` side
-    broadcast over the rows of a ``[b, d]`` side (_ROWS), or is a 2-D
-    ``[r, d]`` side repeated over the K >= 2 row blocks of a ``[K*r, d]``
-    side (_BLOCKS). ``blocks`` is ``(K, r, d)`` for row blocks, the shape at
-    which the full-size side (``av`` or ``bv`` is its data viewed so) and
-    the incoming gradient meet the repeated side under numpy broadcasting,
-    and None otherwise, where the sides broadcast as they are. A folded
-    side's gradient sums over the leading axis.
-    """
-    sa, sb = a.shape, b.shape
-    if sa == sb:
-        return sa, None, a.data, b.data, _SAME, _SAME
+    """Resolve elementwise shapes that are not equal: (out_shape, blocks,
+    av, bv, fold_a, fold_b). A side has the output's shape (_SAME), is a
+    ``[d]`` side broadcast over the rows of a ``[b, d]`` one (_ROWS), or a
+    2-D ``[r, d]`` side repeated over the K >= 2 row blocks of a ``[K*r, d]``
+    one (_BLOCKS). ``blocks`` is ``(K, r, d)`` for row blocks, the shape at
+    which the full-size side (its ``av`` or ``bv`` viewed so) and the
+    incoming gradient meet the repeated side, and None otherwise. A folded
+    side's gradient sums over the leading axis."""
+    av, bv = a.data, b.data
+    sa, sb = av.shape, bv.shape
     if len(sa) == 2 and sa[1:] == sb:
-        return sa, None, a.data, b.data, _SAME, _ROWS
+        return sa, None, av, bv, _SAME, _ROWS
     if len(sb) == 2 and sb[1:] == sa:
-        return sb, None, a.data, b.data, _ROWS, _SAME
+        return sb, None, av, bv, _ROWS, _SAME
     if len(sa) == len(sb) == 2 and sa[1] == sb[1]:
         rows, big = sorted((sa[0], sb[0]))
         if rows > 0 and big % rows == 0:
             blocks = (big // rows, rows, sa[1])
             if sa[0] == big:
-                return sa, blocks, a.data.reshape(blocks), b.data, _SAME, _BLOCKS
-            return sb, blocks, a.data, b.data.reshape(blocks), _BLOCKS, _SAME
-    raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not conform (equal, "
+                return sa, blocks, av.reshape(blocks), bv, _SAME, _BLOCKS
+            return sb, blocks, av, bv.reshape(blocks), _BLOCKS, _SAME
+    raise ShapeError(f"{name}: shapes {sa} and {sb} do not conform (equal, "
                      "[b, d] with [d], or [r, d] repeated over the row blocks of [K*r, d])")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product [m,k] @ [k,n] -> [m,n]. The pull keeps an
     operand only when the other one is tracked (its gradient reads it)."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: operands must be 2-D, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ: {a.shape} vs {b.shape}")
-    value = a.data @ b.data
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul: operands must be 2-D, got {ad.shape} and {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions differ: {ad.shape} vs {bd.shape}")
     # a taped input always requires grad, so requires_grad is its tracked bit
-    av = a.data if b.requires_grad else None
-    bv = b.data if a.requires_grad else None
+    av = ad if b.requires_grad else None
+    bv = bd if a.requires_grad else None
 
     def pull(g, tracked):
         return (g @ bv.T if tracked[0] else None,
                 _RowSum(av, g) if tracked[1] else None)
 
-    return _emit(value, (a, b), pull)
+    return _emit(ad @ bd, pull, a, b)
 
 
 def _add_fold(g: np.ndarray, blocks: Optional[tuple], fold: int):
@@ -327,34 +305,64 @@ def _add_fold(g: np.ndarray, blocks: Optional[tuple], fold: int):
     return g.reshape(blocks).sum(axis=0)
 
 
+def _add_same(g, tracked):     # add's pull for equal shapes
+    return (g if tracked[0] else None), (g if tracked[1] else None)
+
+
+def _add_bias(g, tracked):     # add's pull for a [b, d] side plus a [d] bias
+    return (g if tracked[0] else None), (_RowSum(g) if tracked[1] else None)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
+    ad, bd = a.data, b.data
+    sa, sb = ad.shape, bd.shape
+    if sa == sb:
+        if not sa:      # scalars add as floats, with the same rounding
+            ad, bd = float(ad), float(bd)
+        return _emit(ad + bd, _add_same, a, b)
+    if len(sa) == 2 and sa[1:] == sb:
+        # the bias copied into each row, then the other side added in place:
+        # the sums of ad + bd, faster than numpy's broadcasting add
+        value = np.empty(sa)
+        value[...] = bd
+        value += ad
+        return _emit(value, _add_bias, a, b)
     shape, blocks, av, bv, fold_a, fold_b = _binary_layout("add", a, b)
 
     def pull(g, tracked):
         return (_add_fold(g, blocks, fold_a) if tracked[0] else None,
                 _add_fold(g, blocks, fold_b) if tracked[1] else None)
 
-    return _emit((av + bv).reshape(shape), (a, b), pull)
+    return _emit((av + bv).reshape(shape), pull, a, b)
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
-    shape, blocks, av, bv, fold_a, fold_b = _binary_layout("multiply", a, b)
-    value = (av * bv).reshape(shape)
+    av, bv = a.data, b.data
+    if av.shape == bv.shape:
+        shape, blocks, fold_a, fold_b = av.shape, None, _SAME, _SAME
+        if not shape:   # scalars multiply as floats, with the same rounding
+            av, bv = float(av), float(bv)
+        value = av * bv
+    else:
+        shape, blocks, av, bv, fold_a, fold_b = _binary_layout("multiply", a, b)
+        value = (av * bv).reshape(shape)
     # each side's gradient reads only the other side
     av, bv = (av if b.requires_grad else None), (bv if a.requires_grad else None)
 
     def pull(g, tracked):
         gm = g if blocks is None else g.reshape(blocks)
-        ga = gb = None
-        if tracked[0]:
-            ga = gm * bv
-            ga = ga.reshape(shape) if fold_a == _SAME else ga.sum(axis=0)
-        if tracked[1]:
-            gb = gm * av
-            gb = gb.reshape(shape) if fold_b == _SAME else gb.sum(axis=0)
-        return ga, gb
+        return (_mul_fold(gm * bv, fold_a, blocks, shape) if tracked[0] else None,
+                _mul_fold(gm * av, fold_b, blocks, shape) if tracked[1] else None)
 
-    return _emit(value, (a, b), pull)
+    return _emit(value, pull, a, b)
+
+
+def _mul_fold(gx, fold: int, blocks: Optional[tuple], shape: tuple):
+    """multiply's gradient for one side from ``gx``, the incoming gradient
+    times the other side: summed over the leading axis if folded."""
+    if fold != _SAME:
+        return gx.sum(axis=0)
+    return gx if blocks is None else gx.reshape(shape)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -364,14 +372,17 @@ def relu(a: Tensor) -> Tensor:
     """
     x = a.data
     out = np.fmax(x, 0.0)
-    if (x == 0.0).any():
+    if not x.all():     # an exact zero, of either sign; NaN counts as nonzero
         _LOCAL.relu_kink = True
         out += 0.0      # fmax may keep -0.0 for a zero input; where gives +0.0
 
     def pull(g, tracked):
-        return (g * (out > 0.0),)
+        # g * (out > 0.0), multiplied in place in a float mask, which is faster
+        mask = (out > 0.0).astype(np.float64)
+        mask *= g
+        return (mask,)
 
-    return _emit(out, (a,), pull)
+    return _emit(out, pull, a)
 
 
 # A long dot is one BLAS dot per block of at most this many elements, the
@@ -390,19 +401,19 @@ def blocked_dot(a: np.ndarray, b: np.ndarray):
 
 def squared_error(pred: Tensor, target: Tensor) -> Tensor:
     """Mean of elementwise squared differences, producing a scalar."""
-    if pred.shape != target.shape:
-        raise ShapeError(f"squared_error: shapes differ: {pred.shape} vs {target.shape}")
-    diff = pred.data - target.data
+    pd, td = pred.data, target.data
+    if pd.shape != td.shape:
+        raise ShapeError(f"squared_error: shapes differ: {pd.shape} vs {td.shape}")
+    diff = pd - td
     flat = diff.reshape(-1)
     n = flat.size
     out = blocked_dot(flat, flat) / n
 
     def pull(g, tracked):
-        scale = 2.0 * g / n
-        gp = scale * diff
+        gp = (2.0 * float(g) / n) * diff
         return (gp if tracked[0] else None), (-gp if tracked[1] else None)
 
-    return _emit(out, (pred, target), pull)
+    return _emit(out, pull, pred, target)
 
 
 def masked_select(a: Tensor, mask: np.ndarray) -> Tensor:
@@ -410,44 +421,41 @@ def masked_select(a: Tensor, mask: np.ndarray) -> Tensor:
     ``a``'s shape, is true into a 1-D tensor, in row-major order. The mask
     is a constant: no gradient flows to it.
     """
+    data = a.data
+    shape = data.shape
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.shape:
-        raise ShapeError(f"masked_select: mask shape {mask.shape} does not match data shape {a.shape}")
-    kept = a.data[mask]
+    if mask.shape != shape:
+        raise ShapeError(f"masked_select: mask shape {mask.shape} does not match data shape {shape}")
+    kept = data[mask]
     if kept.size == 0:
         raise ShapeError("masked_select: mask keeps no elements")
-    shape = a.shape
 
     def pull(g, tracked):
         ga = np.zeros(shape)
         ga[mask] = g
         return (ga,)
 
-    return _emit(kept, (a,), pull)
+    return _emit(kept, pull, a)
 
 
 def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0) -> set:
     """Reverse pass over tape records from the loss's, popping each one as it
-    is walked; records after the loss's cannot reach it and are dropped.
-
-    ``slots`` maps id(leaf) to the array that leaf's gradient is written
-    into: [*shape], or [k, *shape] with ``row_groups`` = k > 0, row g
-    summing the contributions of batch rows g, g+k, g+2k, ... A leaf's first
-    contribution is written straight into its slot and later ones are added
-    in place; leaves without a slot are skipped. Pending non-leaf gradients
-    sit in a list indexed by record number, popped in step with the
-    records, so each is dropped when its tensor's record is walked. They are
-    added out of place, since one array may be the gradient of several
-    tensors (an add passes its gradient through). Leaves ``records`` empty,
-    and returns the set of ids of the slotted leaves reached.
-    """
+    is walked; later records cannot reach the loss and are dropped.
+    ``slots`` maps id(leaf) to the array its gradient is written into:
+    [*shape], or [k, *shape] with ``row_groups`` = k > 0, row g summing the
+    contributions of batch rows g, g+k, ... A leaf's first contribution goes
+    straight into its slot, later ones are added in place. Pending non-leaf
+    gradients sit in a list popped in step with the records, added out of
+    place (an add passes one array to both inputs). Returns the ids of the
+    slotted leaves reached."""
     del records[loss.node + 1:]
     grads = [None] * len(records)
-    grads[-1] = np.ones(())
+    grads[-1] = 1.0
     reached = set()
+    pop_record, pop_grad, slot_of = records.pop, grads.pop, slots.get
     while records:
-        pull, tracked, parents = records.pop()
-        got = grads.pop()
+        pull, tracked, parents = pop_record()
+        got = pop_grad()
         if got is None:
             continue
         for x, gx in zip(parents, pull(got, tracked)):
@@ -459,10 +467,11 @@ def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0) -> set:
                 cur = grads[x]
                 grads[x] = gx if cur is None else cur + gx
                 continue
-            slot = slots.get(id(x))
+            key = id(x)
+            slot = slot_of(key)
             if slot is None:
                 continue
-            first = id(x) not in reached
+            first = key not in reached
             if type(gx) is _RowSum:
                 dest = slot if first else None
                 gx = gx.split(row_groups, dest) if row_groups else gx.total(dest)
@@ -476,14 +485,12 @@ def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0) -> set:
             else:
                 if gx is not slot:
                     np.copyto(slot, gx)
-                reached.add(id(x))
+                reached.add(key)
     return reached
 
 
 class Gradients(list):
-    """The gradients ``gradients`` returns, in ``wrt`` order. Every entry is
-    a view, at its tensor's shape, of its own slot in one flat packed
-    buffer, ``packed``."""
+    """``gradients``' result: views of the slots of one buffer, ``packed``."""
 
     __slots__ = ("packed",)
 
@@ -491,8 +498,8 @@ class Gradients(list):
 def _consume(loss: Tensor) -> list:
     """Mark the loss's tape consumed and take its records out of it; the
     reverse pass frees them as it walks them (see the module docstring)."""
-    if loss.shape != ():
-        raise ShapeError(f"gradients: loss must be scalar, got shape {loss.shape}")
+    if loss.data.shape != ():
+        raise ShapeError(f"gradients: loss must be scalar, got shape {loss.data.shape}")
     tape = loss.tape
     if tape is None:
         raise TapeError("gradients: loss is not attached to a tape (no tracked inputs)")
@@ -507,14 +514,10 @@ def _consume(loss: Tensor) -> list:
 
 
 def new_graph():
-    """Start the thread's next forward pass on a fresh tape.
-
-    A graph whose loss never reached a reverse pass is dropped: its tape
-    gives up its records, so the abandoned graph is freed by reference
-    counting, and is marked consumed, so a reverse pass from that loss
-    raises TapeError. Under no_grad nothing is recorded and the active tape
-    is left alone.
-    """
+    """Start the thread's next forward pass on a fresh tape. The active
+    tape's graph is dropped: its records are freed, and it is marked
+    consumed, so a reverse pass from its loss raises TapeError. Under
+    no_grad the active tape is left alone."""
     tape = _LOCAL.tape
     if tape is None or _LOCAL.no_grad:
         return
@@ -527,44 +530,45 @@ def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = N
     """Gradients of the scalar ``loss`` w.r.t. the leaf tensors ``wrt``.
 
     One reverse pass writes every gradient into its slot of one packed
-    buffer, the ``wrt`` tensors laid out side by side in order: ``[total]``
-    without row groups, ``[k, total]`` with ``row_groups`` = k. The result
-    is a list whose entries are views of those slots at their tensors'
-    shapes (``[*shape]``, or ``[k, *shape]``) and whose ``packed`` attribute
-    is the flat buffer itself, so a caller that wants one flat vector takes
-    ``.packed`` with no concatenation.
-    No two entries share memory: a tensor listed twice gets two equal slots.
-    Thread-safe against other graphs sharing the same leaves; missing paths
-    yield zeros. Consumes the tape; a non-leaf ``wrt`` raises TapeError.
+    buffer, ``[total]``, or ``[k, total]`` with ``row_groups`` = k, the
+    ``wrt`` tensors side by side in order. The result is a list of views of
+    the slots at their tensors' shapes (``[*shape]`` or ``[k, *shape]``),
+    with the buffer itself as ``packed``. No two entries share memory: a
+    tensor listed twice gets two equal slots. Thread-safe against other
+    graphs sharing the leaves; missing paths yield zeros. Consumes the tape;
+    a non-leaf ``wrt`` raises TapeError.
 
-    With ``row_groups`` = k, row g of every gradient is the part contributed
-    by batch rows g, g+k, g+2k, ..., and the rows sum to the plain gradient.
-    The split happens where a leaf's pull sums over the batch axis (matmul's
-    right operand, the bias of a broadcast add), so every ``wrt`` tensor
-    must be reached only through such pulls, with a leading batch dimension
-    divisible by k; otherwise this raises TapeError or ShapeError.
-    When the loss is a mean over b samples that each contribute equally many
-    elements, k = 2 gives half-batch mean gradients as 2 * row g and k = b
-    gives per-sample gradients as b * row g.
+    With k row groups, row g of every gradient is the part contributed by
+    batch rows g, g+k, ..., and the rows sum to the plain gradient. The split
+    happens where a leaf's pull sums over the batch axis (matmul's right
+    operand, a broadcast bias), so every ``wrt`` tensor must be reached only
+    through such pulls, with a batch dimension divisible by k (else
+    TapeError or ShapeError). For a mean loss over b samples with equally
+    many elements each, k = 2 gives half-batch mean gradients as 2 * row g
+    and k = b per-sample gradients as b * row g.
     """
     k = 0
     if row_groups is not None:
         k = int(row_groups)
         if k < 1:
             raise ValueError(f"gradients: row_groups must be >= 1, got {row_groups}")
-    if any(p.tape is not None for p in wrt):
-        raise TapeError("gradients: every wrt tensor must be a leaf")
+    total = 0
+    for p in wrt:
+        if p.tape is not None:
+            raise TapeError("gradients: every wrt tensor must be a leaf")
+        total += p.data.size
     records = _consume(loss)
     lead = (k,) if k else ()
-    packed = np.empty(lead + (sum(p.size for p in wrt),))
+    packed = np.empty(lead + (total,))
     out = Gradients()
     out.packed = packed
     slots = {}
     end = 0
     for p in wrt:
-        start, end = end, end + p.size
+        data = p.data
+        start, end = end, end + data.size
         # splitting the contiguous last axis of a slice is always a view
-        slot = packed[..., start:end].reshape(lead + p.shape)
+        slot = packed[..., start:end].reshape(lead + data.shape)
         out.append(slot)
         slots.setdefault(id(p), slot)
     reached = _walk(records, loss, slots, k)
@@ -586,13 +590,13 @@ def pack_params(params: Sequence[Tensor]) -> np.ndarray:
 def load_params(params: Sequence[Tensor], flat: np.ndarray):
     """Write a flat vector back into parameter tensors, in order. A vector
     of the wrong length raises ShapeError before any parameter is written."""
-    total = sum(p.size for p in params)
-    if flat.size != total:
-        raise ShapeError(f"load_params: vector length {flat.size} != total parameter size {total}")
+    sizes = [p.data.size for p in params]
+    if flat.size != sum(sizes):
+        raise ShapeError(f"load_params: vector length {flat.size} != total parameter size {sum(sizes)}")
     offset = 0
-    for p in params:
-        p.data[...] = flat[offset:offset + p.size].reshape(p.shape)
-        offset += p.size
+    for p, size in zip(params, sizes):
+        p.data[...] = flat[offset:offset + size].reshape(p.data.shape)
+        offset += size
 
 
 def grad_check(model: Callable[[], Tensor], params: Sequence[Tensor],
@@ -601,13 +605,10 @@ def grad_check(model: Callable[[], Tensor], params: Sequence[Tensor],
 
     ``model`` is a closure over ``params`` returning a scalar loss. Probes
     ``min(probe_count, coordinates)`` distinct random coordinates of the
-    requires_grad parameters, so a count above the number of coordinates
-    probes each once, and returns max |analytic - central| / max(1, |analytic|)
-    over them.
-
-    Probes whose evaluations hit a relu input at exactly 0 are skipped (the
-    subgradient point has no meaningful finite difference); if every probe
-    is skipped, or no parameter is trainable, the result is 0.0.
+    requires_grad parameters and returns max |analytic - central| /
+    max(1, |analytic|) over them. Probes whose evaluations hit a relu input
+    at exactly 0, a kink, are skipped; if every probe is, or no parameter is
+    trainable, the result is 0.0.
     """
     if probe_count < 1:
         raise ValueError("grad_check: probe_count must be >= 1")

@@ -80,7 +80,7 @@ def test_02_phi_oracle_equivalence():
                 g2 = per_sample[1::2, sl].mean(axis=0)
                 denom = np.linalg.norm(g1) * np.linalg.norm(g2)
                 cos = 0.0 if denom < 1e-24 else min(1.0, max(-1.0, float(g1 @ g2) / denom))
-                assert abs(est.phi_of(name) - (1.0 - cos)) < 1e-10
+                assert abs(est.phi[est.names.index(name)] - (1.0 - cos)) < 1e-10
             checked += 1
         assert checked == 100
         assert time.time() - start < 5.0

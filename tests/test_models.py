@@ -373,7 +373,8 @@ class TestSharingEffect:
             x, y = make_dataset(256, 32, 4, 0.1, 300 + seed)
             ps = per_sample_gradients(model, x[:64], y[:64], mask_seed=seed)
             est = phi_estimate(split_groups(ps, model.partition), eta=1.0)
-            wins += est.phi_of("head") < est.phi_of("trunk")
+            phi = dict(zip(est.names, est.phi))
+            wins += phi["head"] < phi["trunk"]
         assert wins >= 16, f"head phi below trunk phi in only {wins}/20 seeds"
 
 

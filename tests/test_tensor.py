@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import itertools
 import platform
+import threading
 import tracemalloc
 import types
 import weakref
@@ -982,3 +983,172 @@ def test_bias_sums(rows_k, w, seed, scale):
         slot = packed[:, 1:1 + w]
         assert bias.split(groups, slot) is slot
         assert np.array_equal(_bits(slot), _bits(split))
+
+
+# ---- the default step in plain numpy, op for op in the engine's order ----
+
+def _reference_relu(x):
+    out = np.fmax(x, 0.0)
+    if not x.all():
+        out += 0.0
+    return out
+
+
+def _reference_rowsum(left, right, k):
+    """A batch-axis sum as the reverse pass forms it: ``left.T @ right``, or
+    with no ``right`` a ones-vector product; split into k row groups when
+    k > 0."""
+    rows = left.shape[0]
+    if not k:
+        return np.ones(rows) @ left if right is None else left.T @ right
+    if right is None:
+        w = left.shape[1]
+        return (np.ones(rows // k) @ left.reshape(rows // k, k * w)).reshape(k, w)
+    return np.matmul(left.reshape(rows // k, k, -1).transpose(1, 2, 0),
+                     right.reshape(rows // k, k, -1).transpose(1, 0, 2))
+
+
+def reference_loss_and_packed(model, x, t, k=0):
+    """The default SyntheticModel's loss and packed gradient (``k`` row
+    groups, none at 0) in plain numpy, op for op as the tape computes them:
+    the levels' squared errors weighted by their element counts and summed
+    in level order; in the reverse pass, the levels from the last down, the
+    trunk feature's gradient summed over the levels in that order, and each
+    leaf of the shared head given level 4's contribution first and the
+    others added with ``+=``."""
+    config = model.config
+    assert config == ModelConfig() and config.levels == 4
+    (w0, b0), = [(w.data, b.data) for w, b in model._trunk]
+    (w1, b1), (w2, b2) = [(w.data, b.data) for w, b in model._heads[0]]
+    h = _reference_relu(x @ w0 + b0)
+    levels = []
+    for lvl in range(config.levels):
+        halvers, f = [], h
+        for _ in range(lvl):
+            halvers.append(model._halvers[f.shape[1]].data)
+            f = f @ halvers[-1]
+        wl, bl = model._laterals[lvl]
+        fl = _reference_relu(f @ wl.data + bl.data)
+        r1 = _reference_relu(fl @ w1 + b1)
+        diff = r1 @ w2 + b2 - t
+        flat = diff.reshape(-1)
+        levels.append((halvers, f, fl, r1, diff, flat.dot(flat) / flat.size))
+    weight = np.array(1.0 / config.levels)     # each level keeps a quarter of the elements
+    loss = levels[0][5] * weight
+    for level in levels[1:]:
+        loss = loss + level[5] * weight
+
+    grads = {}
+
+    def contribute(name, g):
+        if name in grads:
+            grads[name] += g
+        else:
+            grads[name] = g
+
+    g_h = None
+    for lvl in reversed(range(config.levels)):
+        halvers, f, fl, r1, diff, _ = levels[lvl]
+        wl, _ = model._laterals[lvl]
+        g = (2.0 * float(1.0 * weight) / diff.size) * diff
+        contribute("b2", _reference_rowsum(g, None, k))
+        contribute("w2", _reference_rowsum(r1, g, k))
+        g = (g @ w2.T) * (r1 > 0.0)
+        contribute("b1", _reference_rowsum(g, None, k))
+        contribute("w1", _reference_rowsum(fl, g, k))
+        g = (g @ w1.T) * (fl > 0.0)
+        contribute(f"bl{lvl}", _reference_rowsum(g, None, k))
+        contribute(f"wl{lvl}", _reference_rowsum(f, g, k))
+        g = g @ wl.data.T
+        for halver in reversed(halvers):
+            g = g @ halver.T
+        g_h = g if g_h is None else g_h + g
+    g = g_h * (h > 0.0)
+    contribute("b0", _reference_rowsum(g, None, k))
+    contribute("w0", _reference_rowsum(x, g, k))
+    order = (["w0", "b0"] + [f"{p}{lvl}" for lvl in range(config.levels) for p in ("wl", "bl")]
+             + ["w1", "b1", "w2", "b2"])
+    lead = (k,) if k else ()
+    return loss, np.concatenate([grads[name].reshape(lead + (-1,)) for name in order], axis=-1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), k=st.sampled_from([0, 2]))
+def test_default_step_equals_the_numpy_reference_bit_for_bit(seed, k):
+    model = SyntheticModel(ModelConfig(), seed=seed)
+    x, y = make_dataset(256, 32, 4, 0.1, seed + 1)
+    want_loss, want = reference_loss_and_packed(model, x, y, k)
+    loss = model.loss_given_noise(x, y, None, None)
+    got = gradients(loss, model.params, row_groups=k or None).packed
+    assert got.shape == want.shape
+    assert float(loss.data) == float(want_loss)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+# ---- tape misuse: every primitive rejects an input of another tape ----
+
+def _primitive_calls(square, row):
+    """(name, call) for every primitive, operand position and elementwise
+    layout, with the taped ``square`` ([2, 2]) or ``row`` ([2]) in that
+    position and leaves elsewhere."""
+    leaf, bias = Tensor(np.ones((2, 2)), requires_grad=True), Tensor(np.ones(2))
+    return {
+        "matmul[0]": lambda: matmul(square, leaf),
+        "matmul[1]": lambda: matmul(leaf, square),
+        "add[0]": lambda: add(square, leaf),
+        "add[1]": lambda: add(leaf, square),
+        "add_bias[0]": lambda: add(square, bias),
+        "add_bias[1]": lambda: add(leaf, row),
+        "add_left_bias[0]": lambda: add(row, leaf),
+        "add_left_bias[1]": lambda: add(bias, square),
+        "multiply[0]": lambda: multiply(square, leaf),
+        "multiply[1]": lambda: multiply(leaf, square),
+        "multiply_bias[1]": lambda: multiply(leaf, row),
+        "relu[0]": lambda: relu(square),
+        "squared_error[0]": lambda: squared_error(square, leaf),
+        "squared_error[1]": lambda: squared_error(leaf, square),
+        "masked_select[0]": lambda: masked_select(square, np.ones((2, 2), dtype=bool)),
+    }
+
+
+def _taped_pair():
+    """A [2, 2] and a [2] tensor on this thread's tape, and the loss they feed."""
+    w = Tensor(np.full((2, 2), 0.5), requires_grad=True)
+    square = matmul(w, w)
+    row = masked_select(square, np.array([[True, True], [False, False]]))
+    return square, row, _scalar_loss(add(square, row)), w
+
+
+PRIMITIVE_CALLS = sorted(_primitive_calls(None, None))
+
+
+def _in_thread(fn):
+    worker = threading.Thread(target=fn)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+
+
+@pytest.mark.parametrize("consumer", ["this thread", "another thread"])
+@pytest.mark.parametrize("name", PRIMITIVE_CALLS)
+def test_every_operand_of_a_consumed_tape_is_rejected(name, consumer):
+    # consumed on another thread, the tape stays this thread's active one
+    square, row, loss, w = _taped_pair()
+    if consumer == "this thread":
+        gradients(loss, [w])
+    else:
+        _in_thread(lambda: gradients(loss, [w]))
+    assert loss.tape.consumed
+    with pytest.raises(TapeError, match="tape"):
+        _primitive_calls(square, row)[name]()
+    new_graph()
+
+
+@pytest.mark.parametrize("name", PRIMITIVE_CALLS)
+def test_every_operand_of_another_threads_live_tape_is_rejected(name):
+    made = []
+    _in_thread(lambda: made.append(_taped_pair()))
+    square, row, loss, _ = made[0]
+    assert not loss.tape.consumed
+    with pytest.raises(TapeError, match="tape"):
+        _primitive_calls(square, row)[name]()
