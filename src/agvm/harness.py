@@ -1,35 +1,39 @@
 """Experiment runner: simulated data-parallel batching, learning-rate
 schedules, variance tracing, ablation arms, and CSV emission.
 
-One loop (``_Runner.run``) draws even-sized mini-batches and, every tau
-iterations (aligned with modulation), records per module the
-learning-rate-free variance proxy, the multiplier, the effective learning
-rate, the loss and the squared gradient norm. Training updates the model at
-every step; an update-free trace runs only the traced steps. Below
+One loop (``_Runner.run``) draws even-sized mini-batches from a synthetic
+dataset and, every tau iterations (aligned with modulation), records
+per-module rows of the learning-rate-free variance proxy, the current
+multiplier, the effective learning rate, the loss, and the squared gradient
+norm. Training updates the model at every step; an update-free variance
+trace runs only the traced steps, at the initial parameters. Below
 ``REPLICA_MIN_BATCH`` rows, G1 and G2 come from the step's own reverse pass
-(``grouped_loss_and_grad``); from it on, a step is two half-batch passes,
-as the paper's two groups of data-parallel workers compute it, group 2's in
-a replica process (``half_loss_and_grad``, ``_Replica``).
+(``grouped_loss_and_grad``); from it on, a step is two half-batch passes, as
+the paper's two groups of data-parallel workers compute it, group 2's in a
+replica process (``half_loss_and_grad``, ``_Replica``).
 
 Concurrency contract; every output stays a function of the config alone:
 
-- In-run: ``oracle_check`` runs the brute-force oracle on a thread of its
-  own (``_InThread``), and a large-batch run forks one replica, with its own
-  OpenBLAS on one thread meanwhile. Each reads only what nothing writes and
-  draws from a generator of its own, so its bits equal the inline
-  computation's; failures are raised from the caller; nothing outlives it.
+- In-run: ``oracle_check`` runs the brute-force oracle beside the estimate
+  on a thread started for that check (``_InThread``), and a large-batch run
+  forks one replica, keeping its own OpenBLAS on one thread while the
+  replica lives. Each reads only what nothing writes meanwhile and draws
+  from a generator of its own, so its bits equal the inline computation's.
+  A failure is raised from the caller; nothing outlives the run or check.
 - Across runs: ``run_battery`` runs independent runs side by side on the
   caller and forked children, assigned by a rule on the configs alone
-  (``_plan``); ``ablation_suite`` runs its arms so. While a battery runs,
-  each worker has one core (``_one_core``): no replica, OpenBLAS on one
-  thread. Long dots sum in fixed blocks (``tensor.blocked_dot``), so every
-  path gives the same bytes at any BLAS thread count.
+  (``_plan``); ``ablation_suite`` runs its arms so.
+- Core budget: while a battery runs, each worker, the caller too, has one
+  core (``_one_core``): no replica, and OpenBLAS on one thread. Long dots
+  sum in fixed blocks (``tensor.blocked_dot``), so no BLAS call's bits
+  depend on its thread count, and every path gives the same bytes.
 - A process forks (``_fork``) only outside a battery's workers, where
   ``os.fork`` exists, a second CPU is usable and no other thread is alive
-  (``_can_fork``), as a fork copies one thread and keeps the locks others
-  hold; otherwise the work runs in-process. A forked child ignores SIGINT,
-  and it and every worker thread leave their creator's CPU (``_leave_cpu``),
-  where cpusets without load balancing often kept them.
+  (``_can_fork``): a fork copies one thread, and a lock another holds
+  stays held; otherwise the work runs in-process. A forked child ignores
+  SIGINT, and it and every worker thread leave their creator's CPU
+  (``_leave_cpu``): on a 2-core VM whose cpusets turn load balancing off,
+  they often stayed.
 
 Measurements behind each choice: BENCH_replica.json, BENCH_oracle_overlap.json,
 BENCH_battery_fanout.json and BENCH_in_run_mechanisms.json.
@@ -442,11 +446,13 @@ class ReplicaError(RuntimeError):
 class _Replica:
     """A forked copy of a run (``_fork``) that computes group 2's half of
     each step, ``half_loss_and_grad(idx, t, 1)``, while the run computes
-    group 1's. ``start`` writes the weights and batch rows into a shared
-    buffer and sends t down a command pipe; ``result`` returns the loss and
-    gradient written back. The replica exits on the pipe's EOF, which
-    ``close`` (or the run's death) causes, and ``close`` reaps it; a failure
-    or exit is raised from ``result`` or ``start`` as a ReplicaError."""
+    group 1's. Per step ``start`` writes the weights and the batch rows into
+    a shared buffer and sends t down a command pipe; ``result`` returns the
+    loss and packed gradient the replica wrote back. The replica exits on
+    EOF of the command pipe, which ``close`` (or the run's death) causes;
+    ``close`` reaps it. A replica that fails or exits is raised from
+    ``result`` or ``start`` as a ReplicaError.
+    """
 
     def __init__(self, runner: "_Runner"):
         # imported here, where a replica needs it, to keep agvm's import fast
@@ -950,13 +956,16 @@ def phi_gap(trace: list, anchor_name: str = "trunk") -> Optional[float]:
 def ablation_suite(base_config: ExperimentConfig) -> dict:
     """Run every ablation arm with identical seeds; per-arm summaries.
 
-    The base config must be the shared-head pyramid baseline, so the arms
-    isolate one mechanism each. The arms are update-free variance traces at
-    their seed-matched initial parameters: arms train at different speeds,
-    which over a trajectory swamps the effect the phi-gap is meant to show.
-    Arms whose model configs are equal (proposals_1 on a jittered base is
-    the shared arm) run once, the distinct ones side by side
-    (``run_battery``); each arm still gets its own summary dict.
+    The base config must be the shared-head pyramid baseline so the arms
+    isolate one mechanism each. The arms are compared as update-free
+    variance traces at their (seed-matched) initial parameters: arms train
+    at different speeds, and over a trained trajectory that speed difference
+    swamps the architectural effect the phi-gap is meant to expose.
+
+    Arms differ only in their model config, so arms that resolve to equal
+    ones (proposals_1 on a jittered base is the shared arm) are run once,
+    the distinct ones side by side (``run_battery``); each arm still gets
+    its own summary dict.
     """
     if base_config.head_mode != "shared" or not base_config.pyramid:
         raise ConfigError("ablation_suite needs a shared-head pyramid base config")
@@ -1019,16 +1028,19 @@ BENCHMARK = dict(n=512, b=32, input_dim=64, hidden_dim=48, output_dim=64,
 
 def oracle_check(seed: int = 0, n: Optional[int] = None, b: Optional[int] = None,
                  resamples: Optional[int] = None) -> dict:
-    """Per-module estimates, oracle values and relative errors of the
-    analytic variance estimate against the brute-force oracle, on the
-    two-block linear regression benchmark. Raises ConfigError, naming every
-    violated constraint, for a negative seed, fewer than 100 resamples, or a
-    b that is odd or outside [2, n].
+    """Compare the analytic variance estimate against the brute-force oracle
+    on the two-block linear regression benchmark.
 
-    After one per-sample pass, a worker thread computes the oracle
-    (generator ``seed + 4``) while this thread averages the estimate over
-    resampled mini-batches (generator ``seed + 3``). The worker is joined on
-    every exit, and its exception is raised from here."""
+    Returns per-module estimates, oracle values and relative errors. Raises
+    ConfigError, naming every violated constraint, for a negative seed,
+    fewer than 100 resamples, or a b that is odd or outside [2, n].
+
+    After one per-sample pass, a worker thread computes the brute-force
+    oracle (generator ``seed + 4``) while this thread averages the estimate
+    over resampled mini-batches (generator ``seed + 3``). The worker is
+    joined on every exit: its exception is raised from here, and one raised
+    by the estimate propagates after the join.
+    """
     given = dict(n=n, b=b, resamples=resamples)
     p = dict(BENCHMARK, **{key: value for key, value in given.items() if value is not None})
     bad = []

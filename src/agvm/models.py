@@ -1,17 +1,20 @@
 """Synthetic multi-module regression models.
 
 A trunk MLP feeds N pyramid branches. Branch i pair-averages the trunk
-features i-1 times, projects them to a common width with a lateral matrix
-of its own, and a prediction head maps them to the output. The head is one
-parameter set shared by every branch or one per branch: sharing multiplies
-the gradient-contributing evaluations the head sees per step, the mechanism
-these models exist to expose.
+features i-1 times (so deeper branches see coarser, smoother inputs),
+projects them to a common width with a branch-specific lateral matrix, and
+a prediction head maps them to the output. The head is either one parameter
+set shared by every branch or an independent set per branch: sharing
+multiplies the number of gradient-contributing evaluations the head sees
+per optimization step, which is the mechanism these models exist to expose.
 
 Optional per-step randomness: a fraction of output elements can be masked
 out of the loss (at least one survives per sample), and each branch can be
-evaluated ``proposals`` times on noised copies of its features, all K at
-once on a ``[K*b, d]`` stack whose row ``k*b + j`` is proposal k of sample
-j, with the targets (and each level's mask columns) laid out the same way.
+evaluated ``proposals`` times on independently noised copies of its
+features. A level's K proposals are one head evaluation on a ``[K*b, d]``
+stack: row ``k*b + j`` is proposal k of sample j, built by repeating the
+branch features over K row blocks and adding the noise, with the targets
+(and each level's mask columns) laid out the same way.
 """
 
 from __future__ import annotations

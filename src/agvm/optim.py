@@ -106,7 +106,6 @@ class _ModulatedOptimizer:
         if self.modulator.n_modules != partition.h:
             raise ValueError("modulator size does not match partition")
         self._module_sizes = [sl.stop - sl.start for sl in partition.slices.values()]
-        self._mu_seen = self._mu_coords = None
         self.t = 0
 
     def _check_finite(self, vec: np.ndarray, what: str):
@@ -117,24 +116,21 @@ class _ModulatedOptimizer:
                 raise DivergenceError(f"non-finite {what} in module '{name}' at step {self.t}")
 
     def _mu_per_coord(self) -> np.ndarray:
-        """Each coordinate's module multiplier, repeated anew when mu changed."""
-        if self.modulator.mu.tobytes() != self._mu_seen:
-            self._mu_seen = self.modulator.mu.tobytes()
-            self._mu_coords = np.repeat(self.modulator.mu, self._module_sizes)
-        return self._mu_coords
+        return np.repeat(self.modulator.mu, self._module_sizes)
 
     def _modulation_due(self) -> bool:
         return (not self.modulator.pinned) and self.t % self.modulator.tau == 0
 
     def _phi_from_groups(self, groups: GroupedGradients, scale: Optional[np.ndarray]) -> np.ndarray:
-        if scale is None and groups.names == self.partition.names:
+        """1 - cos(G1, G2) per module, of G1 and G2 divided by ``scale`` if given."""
+        if groups.names != self.partition.names:
+            raise OptimizerError(f"grouped gradients of modules {groups.names} do not match the "
+                                 f"optimizer's {self.partition.names}")
+        if scale is None:
             return 1.0 - groups.cosine
         phi = np.empty(self.partition.h)
         for i, (name, sl) in enumerate(self.partition.slices.items()):
-            g1, g2 = groups.g1[name], groups.g2[name]
-            if scale is not None:
-                g1, g2 = g1 / scale[sl], g2 / scale[sl]
-            phi[i] = 1.0 - cosine_similarity(g1, g2)
+            phi[i] = 1.0 - cosine_similarity(groups.g1[name] / scale[sl], groups.g2[name] / scale[sl])
         return phi
 
 

@@ -1,32 +1,48 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-The operations are matmul, add, multiply, relu, squared_error and
-masked_select, on tensors whose ``data`` is one array at the tensor's
-shape. Elementwise binaries take equal shapes, broadcast a ``[d]`` side over
-the rows of a ``[b, d]`` one, or repeat a 2-D ``[r, d]`` side over the K >= 2
-row blocks of a ``[K*r, d]`` one; anything richer raises ShapeError.
+The operation set is the smallest one that supports the synthetic model
+suite: matmul, add, multiply, relu, squared_error and masked_select. A
+tensor's ``data`` is one numpy array at the tensor's shape; every primitive
+and every pull reads and returns arrays at their own shapes. Elementwise
+binaries take equal shapes, broadcast a ``[d]`` side over the rows of a
+``[b, d]`` side, or repeat a 2-D ``[r, d]`` side over the K >= 2 row blocks
+of a ``[K*r, d]`` side (output row ``k*r + j`` uses row j of the repeated
+side, whose gradient is the sum of the K blocks). Anything richer raises
+ShapeError.
 
-Recording is thread-local (threads may share leaves they only read): a
-thread's first recorded op opens a tape, a reverse pass consumes it, and
-``new_graph()`` drops one whose loss never reached a reverse pass. A record
-(``Tape``) is ``(pull, tracked, parents)``, a tuple entry per input in the
-last two (``_emit``). It holds no tensor but a ``requires_grad`` leaf, and a
-pull captures only the arrays its gradients read (a matmul or multiply
-operand only when the other one is tracked, a relu its output, a
-squared_error the difference, a masked_select the mask), so a forward
-intermediate lives only as long as a pull or the caller reads it; the
-reverse pass (``_walk``) frees a record's captures as it pops it.
-At import the module sets glibc's heap policy (``_keep_freed_memory``).
+Graph recording is thread-local: the first recorded operation on a thread
+opens a fresh tape, and a reverse pass consumes it. A forward pass starts
+with ``new_graph()``, which drops a tape whose loss never reached a reverse
+pass. Threads may share leaf tensors as long as they only read them.
+
+A record (``Tape``) is ``(pull, tracked, parents)``, a tuple entry per
+input in the last two (``_emit``). It holds no tensor but a
+``requires_grad`` leaf, and a pull captures only the arrays its gradients
+read (a matmul or multiply an operand only when the other one is tracked,
+a relu its output, a squared_error the difference, a masked_select the
+mask and a shape), so a forward intermediate lives only as long as a pull
+or the caller reads it. A pull computes gradients only for the inputs that
+were tracked. The reverse pass (``_walk``) pops each record as it walks
+it, freeing what its pull captured by reference counting.
+
+At import this module raises glibc's mmap threshold to 32 MiB and its trim
+threshold to 256 MiB and caps glibc at one malloc arena (``mallopt``), so
+what a reverse pass frees stays on the one heap for the next step, also for
+arrays that ``oracle_check``'s worker thread allocates. It does nothing
+where the C library has no ``mallopt`` or the environment sets
+``GLIBC_TUNABLES`` or one of ``MALLOC_MMAP_THRESHOLD_``,
+``MALLOC_TRIM_THRESHOLD_`` and ``MALLOC_TOP_PAD_``.
 
 Bit rules. Every sum over the batch axis for a leaf's gradient goes through
 BLAS: a matmul's right operand as ``left.T @ right``, a bias as a cached
-ones vector times the ``[rows, w]`` incoming gradient; the row-block fold of
-a repeated side stays a numpy axis-0 sum. relu is ``np.fmax(x, 0.0)`` with
+ones vector times the ``[rows, w]`` incoming gradient, so a bias gradient
+can differ from ``sum(axis=0)`` in the last bits; the row-block fold of a
+repeated side stays a numpy axis-0 sum. relu is ``np.fmax(x, 0.0)``, with
 the bits of ``np.where(x > 0, x, 0.0)``: only when the input holds an exact
-zero, which relu checks to flag a kink, an in-place ``+= 0.0`` turns a -0.0
-into +0.0. Scalar adds and multiplies and the loss's unit gradient are
-Python floats, with the roundings of 0-d arrays. Every dot over a loss or a
-module's gradient sums in fixed blocks (``blocked_dot``).
+zero, which relu checks to flag a kink, an in-place ``+= 0.0`` turns a
+-0.0 into +0.0. Scalar adds and multiplies and the loss's unit gradient
+are Python floats, with the roundings of 0-d arrays. Every dot over a loss
+or a module's gradient sums in fixed blocks (``blocked_dot``).
 """
 
 from __future__ import annotations
@@ -49,9 +65,14 @@ class TapeError(RuntimeError):
 
 
 class Tape:
-    """One forward pass's records (module docstring) in execution order; a
-    taped tensor's ``node`` is its record's index. One reverse pass consumes
-    a tape; reuse raises TapeError."""
+    """Ordered record of primitive applications for one forward pass.
+
+    Records ``(pull, tracked, parents)`` are appended in execution order,
+    and a taped tensor's ``node`` is its record's index. A record refers to
+    each parent by record index, ``requires_grad`` leaf or None (a
+    constant), never to its own output. A tape is consumed by exactly one
+    reverse pass; reuse raises TapeError.
+    """
 
     __slots__ = ("_records", "consumed")
 
@@ -79,12 +100,9 @@ _MALLOC_ENV = ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOL
 
 
 def _keep_freed_memory(libc, environ) -> bool:
-    """Raise glibc's mmap threshold to 32 MiB and its trim threshold to 256
-    MiB and cap it at one malloc arena (``libc.mallopt``), so what a reverse
-    pass frees stays on the one heap for the next step, also for arrays that
-    ``oracle_check``'s worker thread allocates. Returns False, and sets
-    nothing, where ``libc`` has no ``mallopt`` or ``environ`` names an
-    allocator setting (``_MALLOC_ENV``)."""
+    """Set the heap policy of the module docstring through ``libc.mallopt``.
+    Returns False, and sets nothing, where ``libc`` has no ``mallopt`` or
+    ``environ`` names an allocator setting."""
     mallopt = getattr(libc, "mallopt", None)
     if mallopt is None or any(name in environ for name in _MALLOC_ENV):
         return False
@@ -121,9 +139,13 @@ class no_grad:
 
 
 class Tensor:
-    """A float64 array, ``data`` (a C-contiguous float64 input is aliased),
-    with optional gradient tracking. A tensor an op recorded carries its
-    ``tape`` and its record's index there, ``node``; a leaf has neither."""
+    """Dense row-major float64 array with optional gradient tracking.
+
+    ``data`` is the array at the tensor's shape; ``shape``, ``size`` and
+    ``ndim`` read it. A C-contiguous float64 input is aliased, not copied.
+    A tensor an operation recorded carries its ``tape`` and its record's
+    index there, ``node``; a leaf has neither.
+    """
 
     __slots__ = ("data", "requires_grad", "tape", "node")
 
@@ -206,11 +228,13 @@ def _ones(n: int) -> np.ndarray:
 
 class _RowSum:
     """A pull's gradient for an operand that sums a per-row term over the
-    batch axis: ``left.T @ right`` (matmul's right operand) or, with no
-    ``right``, the column sums of a 2-D ``left`` (a broadcast bias), reduced
-    whole or per row group by the reverse pass. ``total()`` and
-    ``total(out)``, like ``split(k)`` and ``split(k, out)``, make the same
-    BLAS call, so a gradient written into its slot keeps its bits."""
+    leading batch axis: ``left.T @ right`` (matmul's right operand) or, with
+    no ``right``, the column sums of a 2-D ``left`` (a broadcast bias). The
+    reverse pass reduces it whole, or per row group for a leaf when grouping,
+    writing a leaf's first contribution straight into its slot (``out``).
+    ``total()`` and ``total(out)``, like ``split(k)`` and ``split(k, out)``,
+    make the same BLAS call, so a packed gradient and a separately computed
+    one stay bit-identical."""
 
     __slots__ = ("left", "right")
 
@@ -440,14 +464,19 @@ def masked_select(a: Tensor, mask: np.ndarray) -> Tensor:
 
 def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0) -> set:
     """Reverse pass over tape records from the loss's, popping each one as it
-    is walked; later records cannot reach the loss and are dropped.
-    ``slots`` maps id(leaf) to the array its gradient is written into:
-    [*shape], or [k, *shape] with ``row_groups`` = k > 0, row g summing the
-    contributions of batch rows g, g+k, ... A leaf's first contribution goes
-    straight into its slot, later ones are added in place. Pending non-leaf
-    gradients sit in a list popped in step with the records, added out of
-    place (an add passes one array to both inputs). Returns the ids of the
-    slotted leaves reached."""
+    is walked; records after the loss's cannot reach it and are dropped.
+
+    ``slots`` maps id(leaf) to the array that leaf's gradient is written
+    into: [*shape], or [k, *shape] with ``row_groups`` = k > 0, row g
+    summing the contributions of batch rows g, g+k, g+2k, ... A leaf's first
+    contribution is written straight into its slot and later ones are added
+    in place; leaves without a slot are skipped. Pending non-leaf gradients
+    sit in a list indexed by record number, popped in step with the
+    records, so each is dropped when its tensor's record is walked. They are
+    added out of place, since one array may be the gradient of several
+    tensors (an add passes its gradient through). Leaves ``records`` empty,
+    and returns the set of ids of the slotted leaves reached.
+    """
     del records[loss.node + 1:]
     grads = [None] * len(records)
     grads[-1] = 1.0
@@ -490,7 +519,9 @@ def _walk(records: list, loss: Tensor, slots: dict, row_groups: int = 0) -> set:
 
 
 class Gradients(list):
-    """``gradients``' result: views of the slots of one buffer, ``packed``."""
+    """The gradients ``gradients`` returns, in ``wrt`` order. Every entry is
+    a view, at its tensor's shape, of its own slot in one flat packed
+    buffer, ``packed``."""
 
     __slots__ = ("packed",)
 
@@ -514,10 +545,14 @@ def _consume(loss: Tensor) -> list:
 
 
 def new_graph():
-    """Start the thread's next forward pass on a fresh tape. The active
-    tape's graph is dropped: its records are freed, and it is marked
-    consumed, so a reverse pass from its loss raises TapeError. Under
-    no_grad the active tape is left alone."""
+    """Start the thread's next forward pass on a fresh tape.
+
+    A graph whose loss never reached a reverse pass is dropped: its tape
+    gives up its records, so the abandoned graph is freed by reference
+    counting, and is marked consumed, so a reverse pass from that loss
+    raises TapeError. Under no_grad nothing is recorded and the active tape
+    is left alone.
+    """
     tape = _LOCAL.tape
     if tape is None or _LOCAL.no_grad:
         return
@@ -530,36 +565,36 @@ def gradients(loss: Tensor, wrt: Sequence[Tensor], row_groups: Optional[int] = N
     """Gradients of the scalar ``loss`` w.r.t. the leaf tensors ``wrt``.
 
     One reverse pass writes every gradient into its slot of one packed
-    buffer, ``[total]``, or ``[k, total]`` with ``row_groups`` = k, the
-    ``wrt`` tensors side by side in order. The result is a list of views of
-    the slots at their tensors' shapes (``[*shape]`` or ``[k, *shape]``),
-    with the buffer itself as ``packed``. No two entries share memory: a
-    tensor listed twice gets two equal slots. Thread-safe against other
-    graphs sharing the leaves; missing paths yield zeros. Consumes the tape;
-    a non-leaf ``wrt`` raises TapeError.
+    buffer, the ``wrt`` tensors laid out side by side in order: ``[total]``
+    without row groups, ``[k, total]`` with ``row_groups`` = k. The result
+    is a list whose entries are views of those slots at their tensors'
+    shapes (``[*shape]``, or ``[k, *shape]``) and whose ``packed`` attribute
+    is the flat buffer itself, so a caller that wants one flat vector takes
+    ``.packed`` with no concatenation.
+    No two entries share memory: a tensor listed twice gets two equal slots.
+    Thread-safe against other graphs sharing the same leaves; missing paths
+    yield zeros. Consumes the tape; a non-leaf ``wrt`` raises TapeError.
 
-    With k row groups, row g of every gradient is the part contributed by
-    batch rows g, g+k, ..., and the rows sum to the plain gradient. The split
-    happens where a leaf's pull sums over the batch axis (matmul's right
-    operand, a broadcast bias), so every ``wrt`` tensor must be reached only
-    through such pulls, with a batch dimension divisible by k (else
-    TapeError or ShapeError). For a mean loss over b samples with equally
-    many elements each, k = 2 gives half-batch mean gradients as 2 * row g
-    and k = b per-sample gradients as b * row g.
+    With ``row_groups`` = k, row g of every gradient is the part contributed
+    by batch rows g, g+k, g+2k, ..., and the rows sum to the plain gradient.
+    The split happens where a leaf's pull sums over the batch axis (matmul's
+    right operand, the bias of a broadcast add), so every ``wrt`` tensor
+    must be reached only through such pulls, with a leading batch dimension
+    divisible by k; otherwise this raises TapeError or ShapeError.
+    When the loss is a mean over b samples that each contribute equally
+    many elements, k = 2 gives half-batch mean gradients as 2 * row g and
+    k = b gives per-sample gradients as b * row g.
     """
     k = 0
     if row_groups is not None:
         k = int(row_groups)
         if k < 1:
             raise ValueError(f"gradients: row_groups must be >= 1, got {row_groups}")
-    total = 0
-    for p in wrt:
-        if p.tape is not None:
-            raise TapeError("gradients: every wrt tensor must be a leaf")
-        total += p.data.size
+    if any(p.tape is not None for p in wrt):
+        raise TapeError("gradients: every wrt tensor must be a leaf")
     records = _consume(loss)
     lead = (k,) if k else ()
-    packed = np.empty(lead + (total,))
+    packed = np.empty(lead + (sum(p.data.size for p in wrt),))
     out = Gradients()
     out.packed = packed
     slots = {}
@@ -605,10 +640,13 @@ def grad_check(model: Callable[[], Tensor], params: Sequence[Tensor],
 
     ``model`` is a closure over ``params`` returning a scalar loss. Probes
     ``min(probe_count, coordinates)`` distinct random coordinates of the
-    requires_grad parameters and returns max |analytic - central| /
-    max(1, |analytic|) over them. Probes whose evaluations hit a relu input
-    at exactly 0, a kink, are skipped; if every probe is, or no parameter is
-    trainable, the result is 0.0.
+    requires_grad parameters, so a count above the number of coordinates
+    probes each once, and returns max |analytic - central| / max(1, |analytic|)
+    over them.
+
+    Probes whose evaluations hit a relu input at exactly 0 are skipped (the
+    subgradient point has no meaningful finite difference); if every probe
+    is skipped, or no parameter is trainable, the result is 0.0.
     """
     if probe_count < 1:
         raise ValueError("grad_check: probe_count must be >= 1")

@@ -86,14 +86,17 @@ class PhiEstimate:
 def split_groups(per_sample_grads, partition: ModulePartition, rows=None) -> GroupedGradients:
     """Split per-sample flat gradients into odd/even half means per module.
 
-    ``per_sample_grads`` is a sequence (or [m, d] array) of flat gradients,
-    one per sample; ``rows`` lists the batch's row indices into it in batch
-    order (repeats allowed), None meaning every row. The batch size must be
-    even. Two [d] accumulators start at +0.0 and add rows ``rows[0::2]`` and
-    ``rows[1::2]`` one at a time, without gathering the batch: the order of
-    numpy's ``mean(axis=0)`` over a [half, d >= 2] array, so the half means
-    are bit-identical to ``per_sample_grads[rows][0::2].mean(axis=0)`` and
-    its odd counterpart.
+    ``per_sample_grads`` is a sequence (or [m, d] array) of flat full-network
+    gradients, one per sample. ``rows`` lists the batch's row indices into it
+    in batch order (repeats allowed); None means every row, in order. The
+    batch size (the number of rows used) must be even.
+
+    The odd and even halves are summed into two [d] accumulators that start
+    at +0.0 and add rows ``rows[0::2]`` and ``rows[1::2]`` one at a time in
+    batch order, without gathering the batch. That is the order in which
+    numpy's ``mean(axis=0)`` adds the rows of a [half, d >= 2] array, so the
+    half means are bit-identical to ``per_sample_grads[rows][0::2].mean(axis=0)``
+    and its odd counterpart.
     """
     arr = np.asarray(per_sample_grads, dtype=np.float64)
     if arr.ndim != 2:
@@ -203,11 +206,15 @@ def full_variance_estimate(groups: GroupedGradients, n: int, eta: float) -> np.n
 def per_sample_gradients(model, inputs, targets, mask_seed: int) -> np.ndarray:
     """[batch, d] per-sample flat gradients from one whole-batch backward pass.
 
-    One row group per sample (``gradients(..., row_groups=batch)``) fills a
-    packed [batch, d] buffer, scaled by the batch size in place: row j is
-    the gradient of sample j's own loss under row j of the step's masks and
-    noise. That is exact because every sample contributes equally many loss
-    elements, so the batch loss is the mean of the per-sample losses.
+    The pass splits every parameter gradient into one row group per sample
+    (``gradients(..., row_groups=batch)``) straight into one packed
+    [batch, d] buffer, which is scaled by the batch size in place and
+    returned: no other [batch, d] array is allocated. Row j is the gradient
+    of sample j's own loss under row j of the iteration's masks and feature
+    noise. That is exact because every sample contributes equally
+    many loss elements, so the batch loss is the mean of the per-sample
+    losses, and the mean over any subset of rows equals the gradient of that
+    subset's mean loss.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -221,17 +228,22 @@ def per_sample_gradients(model, inputs, targets, mask_seed: int) -> np.ndarray:
 
 def brute_force_variance_oracle(per_sample, partition: ModulePartition, b: int, resamples: int,
                                 seed: int) -> np.ndarray:
-    """Per-module, per-parameter gradient sampling variance by enumeration,
-    independent of the cosine estimator: the mean of |g_batch - grad_full|^2
-    / d_module over ``resamples`` size-b mini-batches drawn with replacement
-    from ``per_sample``, the [n, d] per-sample gradients of the whole dataset
-    laid out by ``partition`` (whose mean is grad_full).
+    """Per-module, per-parameter gradient sampling variance by enumeration.
 
-    The resamples are drawn ``c`` at a time, by the same generator calls as
-    one at a time. Resample r's mean is row r of ``W @ per_sample``, W's row
-    r being ``bincount(pick_r, minlength=n) / b``, taken in column blocks so
-    that the [c, n] weights and [c, width] means each stay within 512 KiB;
-    the squared deviations are summed per parameter, then per module slice.
+    ``per_sample`` is the [n, d] matrix of per-sample flat gradients over the
+    whole dataset (``per_sample_gradients``), laid out by ``partition``. Its
+    mean is the exact full-dataset gradient; the oracle averages
+    |g_batch - grad_full|^2 / d_module over ``resamples`` mini-batches of
+    size b, drawn with replacement. Independent of the cosine estimator by
+    construction.
+
+    The resamples are drawn ``c`` at a time, by the same generator calls in
+    the same order as one at a time. Each resample mean is formed exactly,
+    as row r of one product ``W @ per_sample`` whose row r is
+    ``bincount(pick_r, minlength=n) / b``, taken in column blocks so that
+    the [c, n] weights and the [c, width] means each stay within 512 KiB.
+    The squared deviations are summed over resamples per parameter, and each
+    module's share is the sum over its slice of that one [d] vector.
     """
     shape = np.shape(per_sample)
     if len(shape) != 2 or shape[1] != partition.total_size:

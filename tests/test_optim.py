@@ -183,6 +183,17 @@ class TestSgdStep:
         # a misuse, not a divergence
         assert not isinstance(info.value, DivergenceError)
 
+    @pytest.mark.parametrize("kind", [AgvmSgd, AgvmAdamW])
+    def test_groups_of_other_modules_rejected(self, kind):
+        # the same sizes with the names in the other order: phi must not be
+        # attributed to modules by position
+        other = ModulePartition(modules=(("head", (0,)), ("trunk", (1,))), param_sizes=(1, 1))
+        opt = kind(two_module_partition((1, 1)), modulator=Modulator(2, tau=1))
+        groups = groups_from([1.0, 2.0], [2.0, 1.0], other)
+        with pytest.raises(OptimizerError, match="do not match") as info:
+            opt.step(np.zeros(2), np.ones(2), eta=0.1, groups=groups)
+        assert not isinstance(info.value, DivergenceError)
+
     def test_negative_eta_rejected(self):
         part = two_module_partition((1, 1))
         opt = AgvmSgd(part, modulator=Modulator(2, tau=10))
